@@ -9,25 +9,28 @@ would be unsound.
 
 import numpy as np
 
-from repro.dataset.generator import CampaignConfig, generate_campaign
-from repro.harness.collection import measured_campaign, measurement_error_stats
+from repro.dataset.generator import CampaignConfig as GenerationConfig
+from repro.dataset.generator import generate_campaign
+from repro.harness.collection import measurement_error_stats
+from repro.harness.config import CampaignConfig
+from repro.harness.parallel import run_campaign
 
 
 def test_validation_measured_vs_generated(benchmark, record):
     contexts = generate_campaign(
-        CampaignConfig(
+        GenerationConfig(
             n_tests=4_000, seed=71,
             tech_shares={"4G": 0.3, "5G": 0.3, "WiFi5": 0.4},
         )
     )
 
-    measured = benchmark.pedantic(
-        measured_campaign,
-        args=(contexts,),
-        kwargs={"max_tests": 120, "seed": 7},
+    report = benchmark.pedantic(
+        run_campaign,
+        args=(contexts, CampaignConfig(seed=7, max_tests=120)),
         rounds=1,
         iterations=1,
     )
+    measured = report.dataset
     stats = measurement_error_stats(contexts, measured)
 
     # Per-tech means agree between the measured subsample and the

@@ -8,7 +8,7 @@ The subcommands cover the library's main workflows::
     repro measure campaign.csv --tests 200 --out measured.csv \\
         --checkpoint run.ckpt [--resume] [--shards 8] [--test NAME] \\
         [--mode oracle|vectorized|auto]
-    repro bench [campaign|dataset|fleet|sessions] \\
+    repro bench [campaign|dataset|fleet|sessions|ooc|attribution] \\
         --out BENCH_<target>.json [--sizes N,N,...] [--seed N]
     repro speedtest --bandwidth 320 --tech 5G [--campaign campaign.csv]
     repro plan --tests-per-day 10000 [--campaign campaign.csv]
@@ -20,20 +20,17 @@ The subcommands cover the library's main workflows::
     repro runs compare --store runs/ --months aug,nov [--tech 4G]
     repro store fsck --store runs/ [--repair] [--json]
 
-(``repro bench-dataset`` and ``repro bench-fleet`` remain as hidden
-aliases of ``repro bench dataset`` / ``repro bench fleet`` for scripts
-written against earlier releases.)
-
 Everything runs against the simulator; no network access is needed.
 The module is also importable: each ``cmd_*`` function takes parsed
 arguments and returns an exit code, so tests drive it directly.
 
-Bandwidth tests are looked up by registry name
-(:func:`repro.core.variants.create_bandwidth_test`); campaign
-measurement parameters travel in one frozen
-:class:`repro.harness.config.CampaignConfig`.  (The *generation*
-config of :mod:`repro.dataset.generator` is a different, older class
-that shares the name — it is imported here under the
+``repro measure`` packs its flags into one frozen
+:class:`repro.harness.config.CampaignConfig` and hands it to
+:func:`repro.harness.parallel.run_campaign`, the one campaign driver,
+whatever ``--shards`` says; the bandwidth test is a name in the
+registry (:func:`repro.core.variants.create_bandwidth_test`).  (The
+*generation* config of :mod:`repro.dataset.generator` is a different,
+older class that shares the name — it is imported here under the
 ``GenerationConfig`` alias.)
 """
 
@@ -474,15 +471,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
     """
     target = getattr(args, "target", "campaign")
     if target == "dataset":
-        if args.sizes and not args.rows:
-            args.rows = args.sizes
-        if args.seed is None:
-            args.seed = 20220801
-        return cmd_bench_dataset(args)
+        return _cmd_bench_dataset(args)
     if target == "fleet":
-        if args.seed is None:
-            args.seed = 7
-        return cmd_bench_fleet(args)
+        return _cmd_bench_fleet(args)
     if target == "sessions":
         return _cmd_bench_sessions(args)
     if target == "ooc":
@@ -640,7 +631,7 @@ def _cmd_bench_campaign(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench_dataset(args: argparse.Namespace) -> int:
+def _cmd_bench_dataset(args: argparse.Namespace) -> int:
     """Benchmark the chunked dataset engine vs the per-row oracle."""
     from repro.harness.bench import (
         DATASET_DEFAULT_ROWS,
@@ -648,19 +639,15 @@ def cmd_bench_dataset(args: argparse.Namespace) -> int:
     )
 
     try:
-        rows = (
-            tuple(int(s) for s in args.rows.split(","))
-            if args.rows else DATASET_DEFAULT_ROWS
-        )
-    except ValueError:
-        print(f"error: --rows must be comma-separated integers, "
-              f"got {args.rows!r}", file=sys.stderr)
+        rows = _parse_sizes(args.sizes or args.rows, DATASET_DEFAULT_ROWS)
+    except argparse.ArgumentTypeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     summary = run_dataset_bench(
         rows=rows,
         oracle_rows=args.oracle_rows,
         chunk_size=args.chunk_size,
-        seed=args.seed,
+        seed=args.seed if args.seed is not None else 20220801,
         out_path=args.out,
     )
     print(f"dataset engine bench (chunk size {summary['chunk_size']}, "
@@ -857,14 +844,14 @@ def cmd_fleet_day(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench_fleet(args: argparse.Namespace) -> int:
+def _cmd_bench_fleet(args: argparse.Namespace) -> int:
     """Benchmark the fleet-day simulator and verify determinism."""
     from repro.harness.bench import run_fleet_bench
 
     summary = run_fleet_bench(
         users=args.users,
         hours=args.hours,
-        seed=args.seed,
+        seed=args.seed if args.seed is not None else 7,
         workers=args.workers,
         out_path=args.out,
     )
@@ -1136,9 +1123,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Mobile Access Bandwidth in Practice (SIGCOMM'22) "
                     "reproduction toolkit",
     )
-    # metavar hides deprecated alias spellings (bench-dataset,
-    # bench-fleet) from the usage line; parsers added without help=
-    # are likewise omitted from the command list below it.
     sub = parser.add_subparsers(dest="command", required=True,
                                 metavar="COMMAND")
 
@@ -1289,7 +1273,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oracle-sessions", type=int, default=None,
                    help="sessions: sessions the per-packet oracle "
                         "leg replays for byte-identity (default 8)")
-    p.add_argument("--rows", help=argparse.SUPPRESS)  # legacy --sizes
+    # ooc's row count; also an older spelling of dataset's --sizes.
+    p.add_argument("--rows", help=argparse.SUPPRESS)
     p.add_argument("--rss-ceiling", type=float, default=150.0,
                    help="ooc: peak-RSS ceiling in MiB the streaming "
                         "round trip must stay under (exit 1 otherwise)")
@@ -1304,19 +1289,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="fleet: worker count of the sharded "
                         "determinism leg")
     p.set_defaults(func=cmd_bench)
-
-    # Deprecated spelling of 'bench dataset' (kept working, hidden
-    # from --help).
-    p = sub.add_parser("bench-dataset")
-    p.add_argument("--rows",
-                   help="comma-separated campaign sizes (default 100000)")
-    p.add_argument("--oracle-rows", type=int, default=5_000,
-                   help="rows the per-row oracle leg is timed on")
-    p.add_argument("--chunk-size", type=int, default=65_536)
-    p.add_argument("--seed", type=int, default=20220801)
-    p.add_argument("--out", help="JSON output path "
-                                 "(e.g. BENCH_dataset.json)")
-    p.set_defaults(func=cmd_bench_dataset)
 
     p = sub.add_parser("speedtest", help="run one simulated bandwidth test")
     p.add_argument("--bandwidth", type=float, default=300.0,
@@ -1361,17 +1333,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--store-month", choices=_store_months(),
                    help="month label the stored run is filed under")
     p.set_defaults(func=cmd_fleet_day)
-
-    # Deprecated spelling of 'bench fleet' (kept working, hidden from
-    # --help).
-    p = sub.add_parser("bench-fleet")
-    p.add_argument("--users", type=int, default=100_000)
-    p.add_argument("--hours", type=int, default=24)
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--workers", type=int, default=2,
-                   help="worker count of the sharded determinism leg")
-    p.add_argument("--out", help="JSON output path (e.g. BENCH_fleet.json)")
-    p.set_defaults(func=cmd_bench_fleet)
 
     p = sub.add_parser(
         "runs",

@@ -46,7 +46,7 @@ from repro.core.protocol import (
     decode,
 )
 from repro.core.server import SwiftestServer
-from repro.execmode import ExecutionMode, resolve_execution_mode
+from repro.execmode import ExecutionMode
 from repro.netsim.engine import Simulator
 from repro.netsim.faults import Delivery, FaultInjector
 from repro.units import SAMPLE_INTERVAL_S
@@ -104,7 +104,6 @@ def run_loopback_session(
     control_faults: Optional[FaultInjector] = None,
     control_timeout_s: float = 0.2,
     control_retries: int = 3,
-    vectorized: Optional[bool] = None,
     mode: Optional[ExecutionMode] = None,
 ) -> LoopbackResult:
     """Run one probing session at packet granularity.
@@ -138,16 +137,10 @@ def run_loopback_session(
         and controller decisions are *bit-identical* to the per-packet
         loop; only ~40k object constructions and codec round-trips per
         session disappear.
-    vectorized:
-        Deprecated boolean spelling of ``mode`` (``True`` →
-        ``vectorized``, ``False`` → ``oracle``, ``None`` → ``auto``);
-        emits a :class:`DeprecationWarning`.
     """
     if capacity_mbps <= 0:
         raise ValueError(f"capacity must be positive, got {capacity_mbps}")
-    resolved = resolve_execution_mode(
-        mode, vectorized, owner="run_loopback_session"
-    )
+    resolved = ExecutionMode.coerce(mode)
     if resolved is ExecutionMode.VECTORIZED and data_faults is not None:
         raise ValueError(
             "vectorized loopback cannot apply DATA-plane faults; "

@@ -33,7 +33,6 @@ rebuild a test from its ``(name, kwargs)`` alone.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -55,7 +54,7 @@ from repro.baselines.driver import (
 )
 from repro.core.convergence import ConvergenceDetector
 from repro.core.protocol import DATA_PAYLOAD_BYTES
-from repro.execmode import ExecutionMode, resolve_execution_mode
+from repro.execmode import ExecutionMode
 from repro.testbed.env import TestEnvironment
 
 
@@ -199,8 +198,7 @@ class LoopbackSwiftest(BandwidthTestService):
     ``auto`` (default) takes the numpy fast path whenever no data-plane
     faults are injected, ``oracle`` forces the historical per-packet
     loop (the perf benchmark's serial baseline), ``vectorized`` demands
-    the fast path.  The legacy ``vectorized=`` boolean is still
-    accepted with a :class:`DeprecationWarning`.
+    the fast path.
     """
 
     name = "swiftest-loopback"
@@ -209,21 +207,11 @@ class LoopbackSwiftest(BandwidthTestService):
         self,
         model=None,
         max_duration_s: float = 5.0,
-        vectorized: Optional[bool] = None,
         mode: Optional["ExecutionMode"] = None,
     ):
         self.model = model if model is not None else FixedLadderModel()
         self.max_duration_s = max_duration_s
-        self.mode = resolve_execution_mode(
-            mode, vectorized, owner="LoopbackSwiftest"
-        )
-
-    @property
-    def vectorized(self) -> Optional[bool]:
-        """Legacy boolean view of :attr:`mode` (``auto`` → ``None``)."""
-        if self.mode is ExecutionMode.AUTO:
-            return None
-        return self.mode is ExecutionMode.VECTORIZED
+        self.mode = ExecutionMode.coerce(mode)
 
     def run(self, env: TestEnvironment) -> BTSResult:
         from repro.core.loopback import run_loopback_session
@@ -319,19 +307,3 @@ def _register_builtin_tests() -> None:
 
 
 _register_builtin_tests()
-
-
-def make_bandwidth_test(name: str, **kwargs) -> BandwidthTest:
-    """Deprecated alias of :func:`create_bandwidth_test`.
-
-    Kept for callers written against the pre-registry constructors;
-    new code should call :func:`create_bandwidth_test` (or better,
-    carry the name in a
-    :class:`~repro.harness.config.CampaignConfig`).
-    """
-    warnings.warn(
-        "make_bandwidth_test() is deprecated; use create_bandwidth_test()",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return create_bandwidth_test(name, **kwargs)

@@ -49,7 +49,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from repro.execmode import ExecutionMode, resolve_execution_mode
+from repro.execmode import ExecutionMode
 
 from repro.dataset import substreams as ss
 from repro.dataset.cities import (
@@ -965,7 +965,6 @@ def iter_campaign_chunks(
 
 def generate_campaign(
     config: CampaignConfig,
-    vectorized: Optional[bool] = None,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
     mode: Optional["ExecutionMode"] = None,
 ) -> Dataset:
@@ -984,18 +983,11 @@ def generate_campaign(
         cases) runs the chunked NumPy engine; ``oracle`` runs the
         per-row reference loop (two to three orders of magnitude
         slower — for verification, not production).
-    vectorized:
-        Deprecated boolean spelling of ``mode`` (``True`` →
-        ``vectorized``, ``False`` → ``oracle``); emits a
-        :class:`DeprecationWarning`.
     chunk_size:
         Rows materialised per step of the vectorized driver; bounds
         peak working memory without affecting the output.
     """
-    resolved = resolve_execution_mode(
-        mode, vectorized, owner="generate_campaign"
-    )
-    if resolved is not ExecutionMode.ORACLE:
+    if ExecutionMode.coerce(mode) is not ExecutionMode.ORACLE:
         return Dataset.from_chunks(
             list(iter_campaign_chunks(config, chunk_size=chunk_size))
         )

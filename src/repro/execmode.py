@@ -24,10 +24,6 @@ different ``None``/``True``/``False`` semantics each time.
     session) otherwise.  Because fast path and oracle are
     byte-identical, ``auto`` is always safe to leave on.
 
-The legacy ``vectorized=`` keywords remain accepted for one release via
-:func:`resolve_execution_mode`, which maps them onto the enum and emits
-a :class:`DeprecationWarning`.
-
 The module deliberately has no dependencies beyond the standard
 library so every layer (``core``, ``netsim``, ``dataset``,
 ``harness``) can import it without cycles.
@@ -36,10 +32,9 @@ library so every layer (``core``, ``netsim``, ``dataset``,
 from __future__ import annotations
 
 import enum
-import warnings
-from typing import Optional, Union
+from typing import Union
 
-__all__ = ["ExecutionMode", "resolve_execution_mode"]
+__all__ = ["ExecutionMode"]
 
 
 class ExecutionMode(str, enum.Enum):
@@ -76,39 +71,3 @@ class ExecutionMode(str, enum.Enum):
                 f"unknown execution mode {value!r} "
                 f"(expected one of {[m.value for m in cls]})"
             ) from None
-
-
-def resolve_execution_mode(
-    mode: Union[ExecutionMode, str, None] = None,
-    vectorized: Optional[bool] = None,
-    *,
-    owner: str = "this function",
-    stacklevel: int = 3,
-) -> ExecutionMode:
-    """Fold the legacy ``vectorized=`` boolean into an
-    :class:`ExecutionMode`.
-
-    ``vectorized`` keeps its historical tri-state meaning — ``None``
-    auto, ``True`` force the fast path, ``False`` force the oracle —
-    but passing it (non-``None``) now emits a
-    :class:`DeprecationWarning` pointing at ``mode=``.  Passing both a
-    ``mode`` and a non-``None`` ``vectorized`` is a contradiction and
-    raises.
-    """
-    if vectorized is not None:
-        if mode is not None:
-            raise ValueError(
-                f"{owner}: pass either mode= or the deprecated "
-                f"vectorized=, not both"
-            )
-        replacement = "vectorized" if vectorized else "oracle"
-        warnings.warn(
-            f"{owner}: vectorized= is deprecated; use "
-            f"mode='{replacement}' (or mode='auto')",
-            DeprecationWarning,
-            stacklevel=stacklevel,
-        )
-        return (
-            ExecutionMode.VECTORIZED if vectorized else ExecutionMode.ORACLE
-        )
-    return ExecutionMode.coerce(mode)

@@ -6,24 +6,25 @@
   FastBTS with BTS-APP as approximate ground truth (Figures 23-25);
 * :mod:`repro.harness.utilization` — a month of workload on the
   planned server pool, tracing per-server utilization (Figure 26);
-* :mod:`repro.harness.runtime` — supervised campaign execution:
+* :mod:`repro.harness.parallel` — :func:`run_campaign`, the one way
+  to run a measured campaign: one row loop, in-process for
+  ``n_shards == 1`` or in forked workers over deterministic
+  row→shard partitions, byte-identical either way;
+* :mod:`repro.harness.runtime` — what that row loop is made of:
   per-row retries with deterministic backoff, quarantine accounting,
-  checkpoint/resume;
-* :mod:`repro.harness.parallel` — the sharded engine: deterministic
-  row→shard partitioning across worker processes, per-shard
-  checkpoints merged by the serial resume logic;
+  the session-bank executor, the checkpoint codec, report assembly;
+* :mod:`repro.harness.collection` — the subset a campaign measures
+  and each row's simulated environment;
 * :mod:`repro.harness.config` — the frozen
   :class:`~repro.harness.config.CampaignConfig` /
-  :class:`~repro.harness.config.RetryPolicy` recipe every execution
-  path consumes;
-* :mod:`repro.harness.bench` — the serial-vs-sharded benchmark behind
-  ``repro bench`` and ``BENCH_campaign.json``.
+  :class:`~repro.harness.config.RetryPolicy` recipe a campaign runs;
+* :mod:`repro.harness.bench` — the engine benchmarks behind
+  ``repro bench`` and the ``BENCH_*.json`` files.
 """
 
 from repro.harness.bench import BenchCase, run_campaign_bench
 from repro.harness.collection import (
     campaign_subset,
-    measured_campaign,
     measurement_error_stats,
     row_environment,
 )
@@ -31,16 +32,13 @@ from repro.harness.config import CampaignConfig, RetryPolicy
 from repro.harness.parallel import (
     ShardProgress,
     run_campaign,
-    run_sharded_campaign,
     shard_checkpoint_path,
     shard_of,
 )
 from repro.harness.runtime import (
     CampaignReport,
-    CampaignRuntime,
     CheckpointError,
     QuarantinedRow,
-    run_supervised_campaign,
 )
 from repro.harness.comparison import ComparisonResult, TestGroup, run_comparison
 from repro.harness.pairs import (
@@ -55,7 +53,6 @@ __all__ = [
     "BenchCase",
     "CampaignConfig",
     "CampaignReport",
-    "CampaignRuntime",
     "CheckpointError",
     "ComparisonResult",
     "PairCampaign",
@@ -67,15 +64,12 @@ __all__ = [
     "UtilizationTrace",
     "campaign_subset",
     "environment_for_record",
-    "measured_campaign",
     "measurement_error_stats",
     "row_environment",
     "run_campaign",
     "run_campaign_bench",
     "run_comparison",
     "run_pair_campaign",
-    "run_sharded_campaign",
-    "run_supervised_campaign",
     "shard_checkpoint_path",
     "shard_of",
     "simulate_utilization",

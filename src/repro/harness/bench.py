@@ -10,7 +10,7 @@ campaign sizes so future PRs inherit a perf trajectory in
   engine landed;
 * **sharded** — the current default: lockstep session banks
   (:mod:`repro.core.sessionbank`) fanned out across
-  :func:`repro.harness.parallel.run_sharded_campaign` workers.
+  :func:`repro.harness.parallel.run_campaign` shard workers.
 
 Both paths run the same frozen
 :class:`~repro.harness.config.CampaignConfig` recipe apart from those

@@ -1,13 +1,16 @@
-"""The §2 data-collection path: measured campaigns.
+"""The §2 data-collection path: per-row inputs of measured campaigns.
 
 The paper's dataset consists of *BTS-APP results* annotated with the
 PHY/MAC context the collection plugin recorded.  The fast generator
 (:mod:`repro.dataset.generator`) emits ground-truth access capacities
-directly; this module provides the faithful slow path: take each
-generated context, build a simulated environment whose true capacity
-is the context's bandwidth, run an actual bandwidth test over it, and
-record the *measured* value alongside the context — exactly what the
-deployed plugin does.
+directly; a measured campaign
+(:func:`repro.harness.parallel.run_campaign`) is the faithful slow
+path: take each generated context, build a simulated environment whose
+true capacity is the context's bandwidth, run an actual bandwidth test
+over it, and record the *measured* value alongside the context —
+exactly what the deployed plugin does.  This module holds what that
+path needs per campaign and per row: the subset it measures, each
+row's environment, and the error statistics of the result.
 
 Beyond fidelity, this closes a validation loop: the §3 analyses run on
 measured campaigns must agree with the same analyses on ground-truth
@@ -17,9 +20,8 @@ campaigns, because a 10-second flooding test is an accurate estimator.
 Every per-row decision here is a pure function of ``(seed, row)`` —
 subset selection and each row's environment RNG derive from the seed,
 never from global state or the order rows happen to run in.  That
-determinism is what lets the supervised runtime
-(:mod:`repro.harness.runtime`) checkpoint an interrupted campaign and
-resume it bit-identically.
+determinism is what lets a campaign checkpoint an interrupted run and
+resume it bit-identically, on any shard count.
 """
 
 from __future__ import annotations
@@ -28,10 +30,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from repro.baselines.btsapp import BtsApp
-from repro.baselines.common import BandwidthTestService
-from repro.dataset.records import Dataset, SCHEMA
-from repro.harness.config import CampaignConfig
+from repro.dataset.records import Dataset
 from repro.harness.pairs import environment_for_record
 from repro.testbed.env import TestEnvironment
 
@@ -59,7 +58,7 @@ def row_environment(
 
     The RNG is derived purely from ``(seed, index, attempt)``:
     attempt 0 uses the historical ``seed + 31 x (index + 1)`` stream
-    (so :func:`measured_campaign` results are unchanged), and each
+    (so first-attempt results never change), and each
     retry gets an independent stream — a row that failed on transient
     simulated weather sees fresh weather, while an interrupted-and-
     resumed campaign replays identical environments.
@@ -80,77 +79,6 @@ def row_environment(
         n_servers=5,
         server_capacity_mbps=1000.0,
     )
-
-
-def measured_campaign(
-    contexts: Dataset,
-    service: Optional[BandwidthTestService] = None,
-    seed: Optional[int] = None,
-    max_tests: Optional[int] = None,
-    config: Optional["CampaignConfig"] = None,
-) -> Dataset:
-    """Re-measure a campaign through an actual BTS.
-
-    Parameters
-    ----------
-    contexts:
-        A generated campaign; each row's ``bandwidth_mbps`` is taken as
-        the user's true access capacity.
-    service:
-        The bandwidth test to run per row (BTS-APP by default, as in
-        the paper's data collection).
-    max_tests:
-        Optional cap — full BTS simulation costs ~50 ms per row, so
-        studies subsample.
-    config:
-        The preferred spelling: one frozen
-        :class:`~repro.harness.config.CampaignConfig` supplying seed,
-        size and the test's registry name.  Explicit ``service`` /
-        ``seed`` / ``max_tests`` keywords remain as the legacy
-        interface and win over the config's fields when passed.
-
-    Returns a dataset with identical context columns and the *measured*
-    bandwidth in ``bandwidth_mbps``.
-
-    This is the all-or-nothing fast path: a row whose test raises
-    propagates immediately.  Long campaigns that must survive flaky
-    rows and interruptions run through
-    :class:`repro.harness.runtime.CampaignRuntime` instead, which
-    wraps exactly this per-row logic with retries, quarantine, and
-    checkpoint/resume.
-    """
-    if config is not None:
-        if seed is None:
-            seed = config.seed
-        if max_tests is None:
-            max_tests = config.max_tests
-        if service is None:
-            service = config.make_test()
-    if seed is None:
-        seed = 0
-    service = service or BtsApp()
-    subset = campaign_subset(contexts, seed=seed, max_tests=max_tests)
-    n = len(subset)
-
-    columns: Dict[str, np.ndarray] = {
-        name: np.array(subset.column(name), copy=True) for name in SCHEMA
-    }
-    measured = np.empty(n, dtype=np.float64)
-    for i in range(n):
-        env = row_environment(subset, i, seed)
-        measured[i] = service.run(env).bandwidth_mbps
-    columns["bandwidth_mbps"] = measured
-    # Same per-row attribution the supervised runtime applies in
-    # build_report — the two paths stay bit-identical drop-ins.
-    from repro.core.attribution import attribute_rows
-
-    columns["bottleneck_attr"] = attribute_rows(
-        measured,
-        columns["plan_mbps"],
-        columns["air_mbps"],
-        columns["android_version"],
-    )
-    return Dataset(columns)
 
 
 def measurement_error_stats(

@@ -1,13 +1,9 @@
-"""Campaign measurement configuration shared by every execution path.
+"""Campaign measurement configuration.
 
-The supervised runtime grew its knobs one keyword at a time —
-``CampaignRuntime(service, retry, checkpoint_path, checkpoint_every)``
-then ``run(contexts, seed, max_tests, resume)`` — and the sharded
-engine (:mod:`repro.harness.parallel`) would have doubled the surface
-again.  :class:`CampaignConfig` freezes the whole recipe for a
-measured campaign into one immutable value that the serial runtime,
-the sharded supervisor, and every worker process interpret
-identically:
+:class:`CampaignConfig` freezes the whole recipe for a measured
+campaign into one immutable value that
+:func:`repro.harness.parallel.run_campaign` — in-process, or in the
+shard supervisor and every worker process — interprets identically:
 
 * the *subset* identity (``seed``, ``max_tests``) that
   :func:`repro.harness.collection.campaign_subset` resolves;
@@ -116,7 +112,7 @@ class CampaignConfig:
     checkpoint_every:
         Rows finished between checkpoint flushes.
     n_shards:
-        Worker processes for the sharded engine; ``1`` runs serially.
+        Worker processes the rows fan out over; ``1`` runs in-process.
         Any value yields bit-identical datasets.
     manifest_path:
         Where the run manifest (seed, config, merged metric snapshot,

@@ -41,11 +41,17 @@ RTT_RANGE_S = (0.008, 0.035)
 def _access_trace(
     bandwidth_mbps: float, rng: np.random.Generator
 ) -> CapacityTrace:
-    """Draw the access-capacity weather for one test pair."""
+    """Draw the access-capacity weather for one test pair.
+
+    A shaped link throttles to a share of its capacity, but never
+    below 1 Mbps — nor above the capacity itself, which a sub-megabit
+    context would otherwise get.
+    """
     if rng.random() < SHAPED_PROBABILITY:
+        throttled = max(1.0, bandwidth_mbps * rng.uniform(0.3, 0.6))
         return ShapedTrace(
             base_mbps=bandwidth_mbps,
-            throttled_mbps=max(1.0, bandwidth_mbps * rng.uniform(0.3, 0.6)),
+            throttled_mbps=min(bandwidth_mbps, throttled),
             period_s=rng.uniform(2.0, 6.0),
             duty_cycle=rng.uniform(0.4, 0.7),
         )

@@ -1,9 +1,29 @@
-"""Sharded campaign execution engine.
+"""The campaign driver: :func:`run_campaign`, serial or sharded.
 
-The serial runtime (:mod:`repro.harness.runtime`) measures a campaign
-one row at a time; at the paper's scale that single process is the
-dominant wall-clock cost.  This module partitions a campaign's rows
-into **deterministic shards** and runs them across worker processes:
+A measured campaign takes each generated context, builds its simulated
+environment, runs the configured bandwidth test over it under
+supervision (retries, quarantine — see
+:func:`repro.harness.runtime.measure_row`), and records the measured
+value alongside the context.  :func:`run_campaign` is the one way to
+run one.  Every run goes through the same steps:
+
+* **Subset and fingerprint.**  The config's ``(seed, max_tests)``
+  resolve the rows (:func:`repro.harness.collection.campaign_subset`);
+  the fingerprint ties a checkpoint to exactly that campaign.
+* **One row loop** (:func:`_measure_rows`).  It picks the executor —
+  lockstep session bank (:func:`repro.harness.runtime.iter_banked_rows`)
+  or per-row :func:`repro.harness.runtime.measure_row` — per
+  :class:`~repro.execmode.ExecutionMode`, and flushes a checkpoint
+  every ``checkpoint_every`` finished rows and once more on every exit
+  path, a crash or kill included.
+* **One finish step** (:func:`_finish`).  It sets the rows/s gauge,
+  writes the run manifest and ingests the run into the store, when the
+  config asks for either.
+
+``config.n_shards == 1`` runs the row loop in-process, checkpointing
+straight to ``checkpoint_path``.  More shards fork one worker per
+shard; each worker runs the same row loop over its rows into
+``<checkpoint>.shard-<k>``:
 
 * **Sharding never changes results.**  A row belongs to shard
   ``crc32(pack(seed, row)) % n_shards`` (:func:`shard_of`) — a pure
@@ -11,28 +31,23 @@ into **deterministic shards** and runs them across worker processes:
   Since every per-row decision is itself a pure function of
   ``(seed, row, attempt)`` (see
   :func:`repro.harness.collection.row_environment`), *where* a row
-  executes is invisible to *what* it produces: shard counts 1, 2 and 8
-  yield byte-identical datasets and identical quarantine sets.
-
-* **Per-shard checkpoints, merged by the existing resume logic.**
-  Each worker flushes its progress to ``<checkpoint>.shard-<k>`` using
-  the exact serial checkpoint codec with *global* row indices and the
-  campaign fingerprint, so shard files are ordinary checkpoints.  The
-  supervisor merges them (dict union keyed by row index) into the main
-  checkpoint — which a later *serial* run can resume from, and vice
-  versa, bit-identically.
-
+  executes is invisible to *what* it produces: any shard count yields
+  byte-identical datasets and identical quarantine sets.
+* **Shard checkpoints are ordinary checkpoints.**  They use the one
+  checkpoint codec with *global* row indices and the campaign
+  fingerprint; the supervisor merges them (dict union keyed by row
+  index) into the main checkpoint, which any later run resumes from,
+  whatever its shard count.
 * **Progress streaming.**  Workers push per-row events onto a queue;
   the supervisor folds them into per-shard :class:`ShardProgress`
-  counters (rows done, quarantines, retries) and forwards each update
-  to an optional callback, so a campaign dashboard sees shard health
-  live rather than at join time.
+  counters and forwards each update to the optional ``on_progress``
+  callback.  In-process runs report the same way, as shard 0.
 
 Workers are rebuilt from data, not shared objects: a shard receives
-the subset's raw columns and the test's registry name + kwargs (from
-:class:`~repro.harness.config.CampaignConfig`), reconstructing
-``Dataset`` and service locally.  That keeps the engine correct under
-both ``fork`` and ``spawn`` start methods.
+the subset's raw columns and the frozen
+:class:`~repro.harness.config.CampaignConfig`, and rebuilds ``Dataset``
+and service locally.  That keeps the engine correct under both
+``fork`` and ``spawn`` start methods.
 """
 
 from __future__ import annotations
@@ -48,16 +63,16 @@ from typing import Callable, Dict, List, Optional
 
 from repro.dataset.records import Dataset, SCHEMA
 from repro.execmode import ExecutionMode
+from repro.harness import runtime
 from repro.harness.collection import campaign_subset
-from repro.harness.config import CampaignConfig, RetryPolicy
+from repro.harness.config import CampaignConfig
 from repro.harness.runtime import (
     CampaignReport,
-    CampaignRuntime,
     _RowState,
     _state_from_json,
     _state_to_json,
     bankable_service,
-    build_report,
+    build_report,  # noqa: F401 - a trace site of benchmarks/pipeline
     campaign_fingerprint,
     ingest_report,
     iter_banked_rows,
@@ -77,7 +92,6 @@ from repro.obs.trace import span
 __all__ = [
     "ShardProgress",
     "run_campaign",
-    "run_sharded_campaign",
     "shard_checkpoint_path",
     "shard_of",
 ]
@@ -117,104 +131,295 @@ class ShardProgress:
     retries: int = 0
     finished: bool = False
 
+    def record(self, attempts: int, quarantined: bool) -> None:
+        """Count one finished row."""
+        self.done += 1
+        self.retries += max(0, attempts - 1)
+        if quarantined:
+            self.quarantined += 1
+
+
+# -- the row loop ----------------------------------------------------------
+
+
+def _measure_rows(
+    service,
+    config: CampaignConfig,
+    subset: Dataset,
+    indices: List[int],
+    rows: Dict[int, _RowState],
+    fingerprint: Dict,
+    checkpoint_path: Optional[Path],
+    on_row: Callable[[_RowState], None],
+) -> int:
+    """Measure ``indices`` into ``rows``; return the checkpoint flushes.
+
+    Rows go through the session bank unless the mode is ``oracle`` or
+    the service cannot be banked; either way their results are
+    byte-identical (the oracle contract).  ``rows`` is flushed to
+    ``checkpoint_path`` every ``config.checkpoint_every`` finished rows
+    and once more on every exit path — normal completion, a service
+    bug, or a kill — so a resume never loses finished rows.
+    """
+    if config.mode is not ExecutionMode.ORACLE and bankable_service(service):
+        results = iter_banked_rows(
+            service, config.retry, subset, indices, config.seed,
+            mode=config.mode,
+        )
+    else:
+        results = (
+            (i, measure_row(service, config.retry, subset, i, config.seed))
+            for i in indices
+        )
+    flushes = 0
+    since_flush = 0
+    try:
+        for index, state in results:
+            rows[index] = state
+            on_row(state)
+            since_flush += 1
+            if (
+                checkpoint_path is not None
+                and since_flush >= config.checkpoint_every
+            ):
+                write_checkpoint(checkpoint_path, fingerprint, rows)
+                flushes += 1
+                since_flush = 0
+    finally:
+        if checkpoint_path is not None and since_flush > 0:
+            write_checkpoint(checkpoint_path, fingerprint, rows)
+            flushes += 1
+    return flushes
+
+
+# -- the driver ------------------------------------------------------------
+
+
+def run_campaign(
+    contexts: Dataset,
+    config: CampaignConfig,
+    resume: bool = False,
+    on_progress: Optional[Callable[[ShardProgress], None]] = None,
+    salvage: bool = False,
+) -> CampaignReport:
+    """Measure a campaign per its config.
+
+    ``config.n_shards`` only decides where rows run: the report is
+    byte-identical for any shard count — datasets, quarantine sets,
+    accounted backoff, attribution.  With ``resume=True`` completed
+    rows are restored from the checkpoint (and, for a sharded run, its
+    surviving ``.shard-<k>`` files) instead of re-measured.  A
+    checkpoint from a *different* campaign raises
+    :class:`~repro.harness.runtime.CheckpointError`; a truncated or
+    corrupt one raises
+    :class:`~repro.harness.runtime.CorruptCheckpointError` unless
+    ``salvage=True`` drops the damaged tail and re-measures it.
+
+    When a manifest destination resolves (explicit
+    ``config.manifest_path``, or the checkpoint's sibling) or the
+    config names a run store, the run collects metrics into a fresh
+    registry — unless the caller already routed one via
+    :func:`repro.obs.metrics.use_registry` — writes the manifest on
+    the way out, and ingests the finished run into the store.
+    """
+    started = time.perf_counter()
+    service = config.make_test()
+    if config.mode is ExecutionMode.VECTORIZED and not bankable_service(
+        service
+    ):
+        raise ValueError(
+            f"mode='vectorized' requires a bankable test "
+            f"(swiftest-loopback on a fixed ladder), got "
+            f"{service.name!r}; use mode='auto' or 'oracle'"
+        )
+    subset = campaign_subset(
+        contexts, seed=config.seed, max_tests=config.max_tests
+    )
+    fingerprint = campaign_fingerprint(
+        subset, config.seed, config.max_tests, service.name
+    )
+    rows: Dict[int, _RowState] = {}
+    if resume and config.checkpoint_path is not None:
+        rows = _load_progress(config, fingerprint, salvage)
+    resumed_rows = sum(1 for s in rows.values() if s.done)
+    todo = [i for i in range(len(subset)) if not (i in rows and rows[i].done)]
+
+    recorded = (
+        config.resolved_manifest_path() is not None
+        or config.store_path is not None
+    )
+    own_registry = (
+        MetricsRegistry()
+        if recorded and isinstance(active_registry(), NullRegistry)
+        else None
+    )
+    with use_registry(own_registry):
+        if config.n_shards == 1:
+            progress, checkpoints_written = _run_in_process(
+                service, config, subset, todo, rows, fingerprint, on_progress
+            )
+            shards = None
+        else:
+            progress, shards = _run_shards(
+                config, subset, todo, rows, fingerprint, on_progress, started
+            )
+            checkpoints_written = int(config.checkpoint_path is not None)
+        # Looked up on its own module at call time, where the pipeline
+        # benchmark's digest-gate test substitutes a perturbed builder.
+        report = runtime.build_report(
+            subset,
+            rows,
+            resumed_rows,
+            sum(p.retries for p in progress.values()),
+            checkpoints_written,
+        )
+        _finish(config, report, time.perf_counter() - started, shards)
+    return report
+
+
+def _load_progress(
+    config: CampaignConfig, fingerprint: Dict, salvage: bool
+) -> Dict[int, _RowState]:
+    """Rows finished by earlier runs: the main checkpoint, plus the
+    ``.shard-<k>`` files a killed sharded run left behind."""
+    ckpt = config.checkpoint_path
+    rows = load_checkpoint(ckpt, fingerprint, salvage=salvage)
+    if config.n_shards > 1:
+        for shard_id in range(config.n_shards):
+            shard_rows = load_checkpoint(
+                shard_checkpoint_path(ckpt, shard_id), fingerprint,
+                salvage=salvage,
+            )
+            for index, state in shard_rows.items():
+                if state.done:
+                    rows.setdefault(index, state)
+    return rows
+
+
+def _run_in_process(
+    service,
+    config: CampaignConfig,
+    subset: Dataset,
+    todo: List[int],
+    rows: Dict[int, _RowState],
+    fingerprint: Dict,
+    on_progress: Optional[Callable[[ShardProgress], None]],
+):
+    """Run the row loop in this process, straight into
+    ``checkpoint_path``, reporting progress as shard 0.
+
+    Returns the progress (keyed like :func:`_run_shards`'s) and the
+    checkpoint flushes.
+    """
+    progress = ShardProgress(shard_id=0, n_rows=len(todo))
+
+    def on_row(state: _RowState) -> None:
+        progress.record(state.attempts, state.quarantine is not None)
+        if on_progress is not None:
+            on_progress(progress)
+
+    with span("campaign.serial"):
+        flushes = _measure_rows(
+            service, config, subset, todo, rows, fingerprint,
+            config.checkpoint_path, on_row,
+        )
+    progress.finished = True
+    if on_progress is not None:
+        on_progress(progress)
+    return {0: progress}, flushes
+
+
+def _finish(
+    config: CampaignConfig,
+    report: CampaignReport,
+    elapsed_s: float,
+    shards: Optional[List[Dict]],
+) -> None:
+    """Set the rows/s gauge, then write the run manifest and ingest the
+    run into the catalog when the config asks for either."""
+    metrics = active_registry()
+    if elapsed_s > 0:
+        metrics.gauge("campaign.rows_per_s").set(report.n_rows / elapsed_s)
+    manifest_path = config.resolved_manifest_path()
+    if manifest_path is None and config.store_path is None:
+        return
+    manifest = build_campaign_manifest(
+        config,
+        report,
+        metrics=metrics.to_dict(),
+        shards=shards,
+        elapsed_s=elapsed_s,
+    )
+    if manifest_path is not None:
+        write_manifest(manifest_path, manifest)
+    if config.store_path is not None:
+        report.store_run_id = ingest_report(
+            config.store_path, manifest, report, month=config.store_month
+        )
+
+
+# -- sharded execution -----------------------------------------------------
+
 
 def _shard_worker(
     shard_id: int,
     row_indices: List[int],
     columns: Dict,
-    seed: int,
-    test: str,
-    test_kwargs: Dict,
-    retry: RetryPolicy,
+    config: CampaignConfig,
     fingerprint: Dict,
-    checkpoint_path: Optional[str],
-    checkpoint_every: int,
+    checkpoint_path: Optional[Path],
     events: "mp.Queue",
-    instrument: bool = False,
-    mode: ExecutionMode = ExecutionMode.AUTO,
+    instrument: bool,
 ) -> None:
-    """One worker process: measure this shard's rows in index order.
+    """One worker process: run the row loop over this shard's rows.
 
-    Under ``mode='oracle'`` (or a non-bankable service) this runs
-    :func:`repro.harness.runtime.measure_row` — the serial per-row
-    logic, unmodified — against a locally reconstructed dataset and
-    service; otherwise the shard's rows are grouped into lockstep
-    banks via :func:`repro.harness.runtime.iter_banked_rows`, whose
-    results are byte-identical by the oracle contract.  Either way an
-    ordinary checkpoint file is flushed per ``checkpoint_every``
-    completions.
-
-    With ``instrument=True`` the worker records into its own
+    The worker flushes ``checkpoint_path`` like any in-process run and
+    reports every row, then a final ``done`` event carrying its rows
+    (and any error).  With ``instrument=True`` it records into its own
     process-local :class:`~repro.obs.metrics.MetricsRegistry` and
     ships the snapshot back inside the ``done`` event, so the
     supervisor can merge per-shard metrics deterministically.
     """
-    from repro.core.variants import create_bandwidth_test
-
     subset = Dataset(columns)
-    service = create_bandwidth_test(test, **test_kwargs)
+    service = config.make_test()
     registry = MetricsRegistry() if instrument else None
     rows: Dict[int, _RowState] = {}
-    since_flush = 0
     started = time.perf_counter()
 
-    def shard_snapshot() -> Optional[Dict]:
-        if registry is None:
-            return None
-        elapsed = time.perf_counter() - started
-        if elapsed > 0:
-            registry.gauge("parallel.shard.rows_per_s").set(
-                len(rows) / elapsed
-            )
-        registry.counter("parallel.shard.rows").inc(len(rows))
-        return registry.to_dict()
+    def on_row(state: _RowState) -> None:
+        events.put((
+            "progress", shard_id, state.attempts,
+            state.quarantine is not None,
+        ))
 
+    error = None
     try:
         with use_registry(registry):
-            if mode is not ExecutionMode.ORACLE and bankable_service(
-                service
-            ):
-                results = iter_banked_rows(
-                    service, retry, subset, row_indices, seed, mode=mode
+            _measure_rows(
+                service, config, subset, row_indices, rows, fingerprint,
+                checkpoint_path, on_row,
+            )
+    except BaseException as exc:
+        error = f"{type(exc).__name__}: {exc}"
+        raise
+    finally:
+        # Report on every exit path: the supervisor fails the run on
+        # an error and keeps the rows either way.
+        snapshot = None
+        if registry is not None:
+            elapsed = time.perf_counter() - started
+            if elapsed > 0:
+                registry.gauge("parallel.shard.rows_per_s").set(
+                    len(rows) / elapsed
                 )
-            else:
-                results = (
-                    (i, measure_row(service, retry, subset, i, seed))
-                    for i in row_indices
-                )
-            for index, state in results:
-                rows[index] = state
-                since_flush += 1
-                events.put((
-                    "progress",
-                    shard_id,
-                    state.attempts,
-                    state.quarantine is not None,
-                ))
-                if (
-                    checkpoint_path is not None
-                    and since_flush >= checkpoint_every
-                ):
-                    write_checkpoint(checkpoint_path, fingerprint, rows)
-                    since_flush = 0
-        if checkpoint_path is not None and since_flush > 0:
-            write_checkpoint(checkpoint_path, fingerprint, rows)
+            registry.counter("parallel.shard.rows").inc(len(rows))
+            snapshot = registry.to_dict()
         events.put((
             "done",
             shard_id,
             {i: _state_to_json(s) for i, s in rows.items()},
-            None,
-            shard_snapshot(),
-        ))
-    except BaseException as exc:  # flush progress before dying
-        if checkpoint_path is not None and rows:
-            write_checkpoint(checkpoint_path, fingerprint, rows)
-        events.put((
-            "done",
-            shard_id,
-            {i: _state_to_json(s) for i, s in rows.items()},
-            f"{type(exc).__name__}: {exc}",
-            shard_snapshot(),
+            error,
+            snapshot,
         ))
 
 
@@ -227,74 +432,34 @@ def _mp_context():
         return mp.get_context()
 
 
-def run_sharded_campaign(
-    contexts: Dataset,
+def _run_shards(
     config: CampaignConfig,
-    resume: bool = False,
-    on_progress: Optional[Callable[[ShardProgress], None]] = None,
-    salvage: bool = False,
-) -> CampaignReport:
-    """Measure a campaign across ``config.n_shards`` worker processes.
+    subset: Dataset,
+    todo: List[int],
+    rows: Dict[int, _RowState],
+    fingerprint: Dict,
+    on_progress: Optional[Callable[[ShardProgress], None]],
+    started: float,
+):
+    """Fan ``todo`` out over ``config.n_shards`` worker processes and
+    fold their rows into ``rows``.
 
-    Produces a :class:`~repro.harness.runtime.CampaignReport` that is
-    byte-for-byte identical to the serial runtime's for the same
-    config — datasets, quarantine sets, accounted backoff.  With
-    ``resume=True`` the main checkpoint *and* any surviving shard
-    checkpoints are merged before work is distributed, so a run killed
-    mid-campaign loses at most ``checkpoint_every - 1`` rows per
-    shard; a truncated/corrupt checkpoint or shard file raises
-    :class:`~repro.harness.runtime.CorruptCheckpointError` unless
-    ``salvage=True`` drops the damaged tail and re-measures it.
+    Returns the per-shard progress and the manifest's per-shard rows.
+    With a checkpoint configured, the shard files are merged into the
+    main checkpoint — also when a worker failed, so a resume loses at
+    most ``checkpoint_every - 1`` rows per shard — and removed once
+    the run succeeds.  Worker metric snapshots are folded into the
+    active registry in **shard-id order**, never arrival order, so the
+    merged snapshot is reproducible run to run.
     """
-    subset = campaign_subset(
-        contexts, seed=config.seed, max_tests=config.max_tests
-    )
-    n = len(subset)
-    probe = config.make_test()
-    service_name = probe.name
-    if config.mode is ExecutionMode.VECTORIZED and not bankable_service(
-        probe
-    ):
-        raise ValueError(
-            f"mode='vectorized' requires a bankable test "
-            f"(swiftest-loopback on a fixed ladder), got "
-            f"{service_name!r}; use mode='auto' or 'oracle'"
-        )
-    fingerprint = campaign_fingerprint(
-        subset, config.seed, config.max_tests, service_name
-    )
+    n_shards = config.n_shards
     ckpt = config.checkpoint_path
-    manifest_path = config.resolved_manifest_path()
-    # Workers are instrumented when a manifest or store ingest is
-    # wanted, or when the caller routed a live registry (worker
-    # snapshots merge into it).
-    instrument = (
-        manifest_path is not None
-        or config.store_path is not None
-        or not isinstance(active_registry(), NullRegistry)
-    )
-    started = time.perf_counter()
+    metrics = active_registry()
+    instrument = not isinstance(metrics, NullRegistry)
 
-    rows: Dict[int, _RowState] = {}
-    if resume and ckpt is not None:
-        rows = load_checkpoint(ckpt, fingerprint, salvage=salvage)
-        for shard_id in range(config.n_shards):
-            shard_file = shard_checkpoint_path(ckpt, shard_id)
-            shard_rows = load_checkpoint(
-                shard_file, fingerprint, salvage=salvage
-            )
-            for index, state in shard_rows.items():
-                if state.done:
-                    rows.setdefault(index, state)
-    resumed_rows = sum(1 for s in rows.values() if s.done)
-
-    pending: Dict[int, List[int]] = {k: [] for k in range(config.n_shards)}
-    for i in range(n):
-        state = rows.get(i)
-        if state is not None and state.done:
-            continue
-        pending[shard_of(config.seed, i, config.n_shards)].append(i)
-
+    pending: Dict[int, List[int]] = {k: [] for k in range(n_shards)}
+    for i in todo:
+        pending[shard_of(config.seed, i, n_shards)].append(i)
     progress = {
         k: ShardProgress(shard_id=k, n_rows=len(indices))
         for k, indices in pending.items()
@@ -314,78 +479,59 @@ def run_sharded_campaign(
                 shard_id,
                 indices,
                 columns,
-                config.seed,
-                config.test,
-                config.test_kwargs,
-                config.retry,
+                config,
                 fingerprint,
                 (
-                    str(shard_checkpoint_path(ckpt, shard_id))
+                    shard_checkpoint_path(ckpt, shard_id)
                     if ckpt is not None
                     else None
                 ),
-                config.checkpoint_every,
                 events,
                 instrument,
-                config.mode,
             ),
             daemon=True,
         )
         proc.start()
         workers[shard_id] = proc
 
-    retries = 0
     errors: List[str] = []
     finished = {k for k, p in progress.items() if p.finished}
     #: Per-shard metric snapshots and wall-clock, keyed by shard id.
     shard_snapshots: Dict[int, Dict] = {}
     shard_elapsed: Dict[int, float] = {}
-    salvaged_rows = 0
     try:
-        while len(finished) < config.n_shards:
+        while len(finished) < n_shards:
             try:
                 event = events.get(timeout=_POLL_S)
             except queue_mod.Empty:
-                dead = [
-                    k for k, proc in workers.items()
-                    if k not in finished and not proc.is_alive()
-                ]
-                if dead:
-                    # A worker died without reporting (killed, OOM):
-                    # salvage its shard checkpoint below and fail loud.
-                    for k in dead:
+                # A worker that died without reporting (killed, OOM)
+                # fails the run; its shard file is salvaged below.
+                for k, proc in workers.items():
+                    if k not in finished and not proc.is_alive():
                         finished.add(k)
                         progress[k].finished = True
                         errors.append(
                             f"shard {k}: worker exited without a result "
-                            f"(exit code {workers[k].exitcode})"
+                            f"(exit code {proc.exitcode})"
                         )
                 continue
             kind, shard_id = event[0], event[1]
+            snap = progress[shard_id]
             if kind == "progress":
-                _, _, attempts, quarantined = event
-                snap = progress[shard_id]
-                snap.done += 1
-                snap.retries += max(0, attempts - 1)
-                if quarantined:
-                    snap.quarantined += 1
-                if on_progress is not None:
-                    on_progress(snap)
-            elif kind == "done":
+                snap.record(event[2], event[3])
+            else:
                 _, _, raw_rows, error, metrics_snapshot = event
                 for index, entry in raw_rows.items():
                     rows[int(index)] = _state_from_json(entry)
                 if metrics_snapshot is not None:
                     shard_snapshots[shard_id] = metrics_snapshot
                 shard_elapsed[shard_id] = time.perf_counter() - started
-                snap = progress[shard_id]
                 snap.finished = True
                 finished.add(shard_id)
-                retries += snap.retries
                 if error is not None:
                     errors.append(f"shard {shard_id}: {error}")
-                if on_progress is not None:
-                    on_progress(snap)
+            if on_progress is not None:
+                on_progress(snap)
     finally:
         for proc in workers.values():
             proc.join(timeout=5.0)
@@ -393,23 +539,23 @@ def run_sharded_campaign(
                 proc.terminate()
                 proc.join()
 
-    checkpoints_written = 0
+    salvaged_rows = 0
     if ckpt is not None:
         # Recover rows a dead worker flushed but never reported.
         for shard_id in workers:
-            shard_file = shard_checkpoint_path(ckpt, shard_id)
             try:
-                salvaged = load_checkpoint(shard_file, fingerprint)
+                salvaged = load_checkpoint(
+                    shard_checkpoint_path(ckpt, shard_id), fingerprint
+                )
             except Exception:
                 salvaged = {}
             for index, state in salvaged.items():
                 if state.done and index not in rows:
                     rows[index] = state
                     salvaged_rows += 1
-        # The merge IS a serial checkpoint: a later serial (or sharded)
-        # run resumes from it directly.
+        # The merge IS an ordinary checkpoint: any later run resumes
+        # from it directly.
         write_checkpoint(ckpt, fingerprint, rows)
-        checkpoints_written += 1
 
     if errors:
         raise RuntimeError(
@@ -418,53 +564,15 @@ def run_sharded_campaign(
 
     if ckpt is not None:
         # Successful merge: the shard files are now redundant.
-        for shard_id in range(config.n_shards):
+        for shard_id in range(n_shards):
             shard_file = shard_checkpoint_path(ckpt, shard_id)
             if shard_file.exists():
                 shard_file.unlink()
 
-    report = build_report(
-        subset, rows, resumed_rows, retries, checkpoints_written
-    )
-    if instrument:
-        _finish_instrumented_run(
-            config,
-            report,
-            progress,
-            shard_snapshots,
-            shard_elapsed,
-            salvaged_rows,
-            elapsed_s=time.perf_counter() - started,
-            manifest_path=manifest_path,
-        )
-    return report
-
-
-def _finish_instrumented_run(
-    config: CampaignConfig,
-    report: CampaignReport,
-    progress: Dict[int, ShardProgress],
-    shard_snapshots: Dict[int, Dict],
-    shard_elapsed: Dict[int, float],
-    salvaged_rows: int,
-    elapsed_s: float,
-    manifest_path: Optional[Path],
-) -> None:
-    """Merge shard metrics into the supervisor's registry, write the
-    run manifest, and ingest the run into the catalog when configured.
-
-    Worker snapshots are folded in **shard-id order** — never arrival
-    order — so the merged snapshot is reproducible run to run; see
-    :meth:`repro.obs.metrics.MetricsRegistry.merge`.
-    """
-    parent = active_registry()
-    metrics = parent if not isinstance(parent, NullRegistry) else MetricsRegistry()
     with span("campaign.merge_metrics", shards=len(shard_snapshots)):
         for shard_id in sorted(shard_snapshots):
             metrics.merge_snapshot(shard_snapshots[shard_id])
     metrics.counter("parallel.rows_salvaged").inc(salvaged_rows)
-    if elapsed_s > 0:
-        metrics.gauge("campaign.rows_per_s").set(report.n_rows / elapsed_s)
     shards = []
     for shard_id in sorted(progress):
         snap = progress[shard_id]
@@ -475,46 +583,6 @@ def _finish_instrumented_run(
             "retries": snap.retries,
             "quarantined": snap.quarantined,
             "elapsed_s": wall,
-            "rows_per_s": (
-                snap.done / wall if wall else None
-            ),
+            "rows_per_s": snap.done / wall if wall else None,
         })
-    manifest = build_campaign_manifest(
-        config,
-        report,
-        metrics=metrics.to_dict(),
-        shards=shards,
-        elapsed_s=elapsed_s,
-    )
-    if manifest_path is not None:
-        write_manifest(manifest_path, manifest)
-    if config.store_path is not None:
-        report.store_run_id = ingest_report(
-            config.store_path, manifest, report, month=config.store_month
-        )
-
-
-def run_campaign(
-    contexts: Dataset,
-    config: CampaignConfig,
-    resume: bool = False,
-    on_progress: Optional[Callable[[ShardProgress], None]] = None,
-    salvage: bool = False,
-) -> CampaignReport:
-    """Measure a campaign per its config, serial or sharded.
-
-    The single entry point harnesses and the CLI should use:
-    ``config.n_shards == 1`` runs in-process via
-    :class:`~repro.harness.runtime.CampaignRuntime`; more shards fan
-    out through :func:`run_sharded_campaign`.  Either way the result
-    is identical.  ``salvage`` governs damaged-checkpoint handling on
-    resume (see :func:`repro.harness.runtime.load_checkpoint`).
-    """
-    if config.n_shards <= 1:
-        return CampaignRuntime(config=config).run(
-            contexts, resume=resume, salvage=salvage
-        )
-    return run_sharded_campaign(
-        contexts, config, resume=resume, on_progress=on_progress,
-        salvage=salvage,
-    )
+    return progress, shards

@@ -1,48 +1,45 @@
-"""Supervised campaign runtime: retries, quarantine, checkpoint/resume.
+"""Per-row supervision, checkpoints and reports for measured campaigns.
 
-:func:`repro.harness.collection.measured_campaign` is the faithful but
-all-or-nothing slow path: one row raising mid-campaign loses the whole
-run.  At the paper's scale — 23.6M crowdsourced tests collected over
-months — individual tests fail, servers die mid-campaign, and runs get
-interrupted, so the production path needs supervision:
+The building blocks :func:`repro.harness.parallel.run_campaign` drives,
+in-process or inside shard workers.  At the paper's scale — 23.6M
+crowdsourced tests collected over months — individual tests fail,
+servers die mid-campaign, and runs get interrupted, so every row runs
+under supervision:
 
-* **Per-row retries.**  A row whose test raises, or whose result comes
-  back with an unusable :class:`~repro.baselines.common.TestOutcome`,
-  is retried up to :attr:`RetryPolicy.max_attempts` times with
-  exponential backoff and deterministic jitter.  Backoff delays are
-  *accounted*, not slept: the runtime is simulation-side, so the wait
-  a real deployment would incur is summed into
-  :attr:`CampaignReport.backoff_wait_s` instead of stalling the
-  process, and the jitter draws from a seeded RNG — never the wall
-  clock — so every run of the same campaign retries identically.
+* **Per-row retries** (:func:`measure_row`).  A row whose test raises,
+  or whose result comes back with an unusable
+  :class:`~repro.baselines.common.TestOutcome`, is retried up to
+  :attr:`RetryPolicy.max_attempts` times with exponential backoff and
+  deterministic jitter.  Backoff delays are *accounted*, not slept:
+  the runtime is simulation-side, so the wait a real deployment would
+  incur is summed into :attr:`CampaignReport.backoff_wait_s` instead
+  of stalling the process, and the jitter draws from a seeded RNG —
+  never the wall clock — so every run of the same campaign retries
+  identically.
+* **The session bank** (:func:`iter_banked_rows`).  Fault-free
+  loopback rows run in lockstep through
+  :class:`~repro.core.sessionbank.SessionBank`, byte-identical to
+  :func:`measure_row` by the oracle contract.
 * **Quarantine.**  Rows that exhaust their retries are never silently
   dropped: they are excluded from the measured dataset and recorded as
   :class:`QuarantinedRow` entries carrying the final outcome (or
   error) so downstream analyses can reason about the bias of what is
   missing.
-* **Checkpoint/resume.**  With a checkpoint path configured, progress
-  is flushed to disk every ``checkpoint_every`` rows, atomically
-  (write-temp-then-rename), and once more on the way out — including
-  on ``KeyboardInterrupt``/kill.  Because every per-row decision is a
-  pure function of ``(seed, row, attempt)`` (see
+* **Checkpoints** (:func:`write_checkpoint` / :func:`load_checkpoint`).
+  Progress is flushed atomically (write-temp-then-rename); a damaged
+  file raises :class:`CorruptCheckpointError` unless salvaged.
+  Because every per-row decision is a pure function of
+  ``(seed, row, attempt)`` (see
   :func:`repro.harness.collection.row_environment`), a campaign
   interrupted at an arbitrary row and resumed from its checkpoint
   produces a dataset *bit-identical* to the uninterrupted run.
-
-The per-row supervision (:func:`measure_row`), checkpoint codec
-(:func:`write_checkpoint` / :func:`load_checkpoint`) and report
-assembly (:func:`build_report`) are module-level functions shared with
-the sharded engine (:mod:`repro.harness.parallel`): a shard worker runs
-*exactly* the serial per-row logic, which is why shard count never
-changes results.  Campaign parameters travel in one frozen
-:class:`~repro.harness.config.CampaignConfig`; the spread-out keyword
-form of :class:`CampaignRuntime` remains as a thin compatibility layer.
+* **Report assembly** (:func:`build_report`) and **store ingest**
+  (:func:`ingest_report`), once per run, whatever its shard count.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import time
 import zlib
 from dataclasses import dataclass
@@ -56,23 +53,15 @@ from repro.core.attribution import attribute_rows, attribution_summary
 from repro.dataset.records import Dataset, SCHEMA
 from repro.execmode import ExecutionMode
 from repro.ioutil import atomic_write_json
-from repro.harness.collection import campaign_subset, row_environment
+from repro.harness.collection import row_environment
 from repro.harness.config import CampaignConfig, RetryPolicy
-from repro.obs.manifest import build_campaign_manifest, write_manifest
-from repro.obs.metrics import (
-    MetricsRegistry,
-    NullRegistry,
-    active_registry,
-    use_registry,
-)
-from repro.obs.trace import span
+from repro.obs.metrics import active_registry
 
 __all__ = [
     "BANK_SIZE",
     "CHECKPOINT_VERSION",
     "CampaignConfig",
     "CampaignReport",
-    "CampaignRuntime",
     "CheckpointError",
     "CorruptCheckpointError",
     "QuarantinedRow",
@@ -82,8 +71,8 @@ __all__ = [
     "campaign_fingerprint",
     "iter_banked_rows",
     "load_checkpoint",
+    "ingest_report",
     "measure_row",
-    "run_supervised_campaign",
     "write_checkpoint",
 ]
 
@@ -195,9 +184,10 @@ def measure_row(
     """Run one row to completion: retry until a usable result or the
     attempt budget is spent, then quarantine.
 
-    This is *the* per-row unit of work — serial runtime and shard
-    workers both call it, and it depends only on its arguments, so a
-    row lands on the same result whichever process executes it.
+    This is *the* per-row unit of work — the campaign's row loop calls
+    it in-process or in a shard worker, and it depends only on its
+    arguments, so a row lands on the same result whichever process
+    executes it.
 
     Metrics (rows measured/retried/quarantined, the final outcome
     taxonomy, a per-row wall-time histogram) are recorded into the
@@ -387,8 +377,8 @@ def build_report(
     affect the output bytes.
 
     Measured home-path rows are attributed to their binding hop here —
-    the single assembly point shared by the serial and sharded engines,
-    so the ``bottleneck_attr`` column and the attribution summary are
+    the single assembly point of every campaign run, so the
+    ``bottleneck_attr`` column and the attribution summary are
     automatically identical across shard counts.
     """
     n = len(subset)
@@ -497,7 +487,7 @@ def write_checkpoint(
     The same codec serves the main checkpoint and the per-shard
     ``<path>.shard-<k>`` files — row keys are always *global* subset
     indices, which is what makes shard files mergeable into (and
-    indistinguishable from) a serial checkpoint.
+    indistinguishable from) the main checkpoint.
 
     Writes are durable, not just atomic: the temp file is fsynced
     before the rename and the directory after it (see
@@ -617,7 +607,7 @@ def load_checkpoint(
     return rows
 
 
-# -- store ingest (shared with the sharded engine) -------------------------
+# -- store ingest ----------------------------------------------------------
 
 
 def ingest_report(
@@ -637,265 +627,3 @@ def ingest_report(
 
     with RunStore.open(store_path) as store:
         return store.ingest_run(manifest, report.dataset, month=month)
-
-
-# -- the serial runtime ----------------------------------------------------
-
-
-class CampaignRuntime:
-    """Supervised wrapper around the measured-campaign slow path.
-
-    Parameters
-    ----------
-    service:
-        The bandwidth test run per row (BTS-APP by default, as in the
-        paper's data collection).  Overrides ``config.test`` when both
-        are given.
-    retry:
-        Per-row retry policy.
-    checkpoint_path:
-        When set, progress is persisted here and
-        :meth:`run` with ``resume=True`` picks up where a previous
-        (possibly killed) run left off.
-    checkpoint_every:
-        Rows finished (measured or quarantined) between flushes.
-    config:
-        The preferred construction path: one frozen
-        :class:`~repro.harness.config.CampaignConfig` carrying seed,
-        size, test name, retry policy and checkpoint settings.  The
-        individual keywords above remain as the legacy spelling and,
-        when passed explicitly, win over the config's fields.
-    """
-
-    def __init__(
-        self,
-        service: Optional[BandwidthTestService] = None,
-        retry: Optional[RetryPolicy] = None,
-        checkpoint_path: Optional[Union[str, Path]] = None,
-        checkpoint_every: Optional[int] = None,
-        config: Optional[CampaignConfig] = None,
-    ):
-        self.config = config or CampaignConfig()
-        if service is None:
-            if config is None:
-                from repro.baselines.btsapp import BtsApp
-
-                service = BtsApp()
-            else:
-                service = config.make_test()
-        self.service = service
-        self.retry = retry if retry is not None else self.config.retry
-        if checkpoint_path is None:
-            checkpoint_path = self.config.checkpoint_path
-        self.checkpoint_path = (
-            Path(checkpoint_path) if checkpoint_path is not None else None
-        )
-        self.checkpoint_every = (
-            checkpoint_every
-            if checkpoint_every is not None
-            else self.config.checkpoint_every
-        )
-        if self.checkpoint_every < 1:
-            raise ValueError(
-                f"checkpoint interval must be >= 1, got {self.checkpoint_every}"
-            )
-
-    # -- public --------------------------------------------------------
-
-    def run(
-        self,
-        contexts: Dataset,
-        seed: Optional[int] = None,
-        max_tests: Optional[int] = None,
-        resume: bool = False,
-        salvage: bool = False,
-    ) -> CampaignReport:
-        """Measure a campaign under supervision.
-
-        ``seed`` and ``max_tests`` default to the runtime's config.
-        With ``resume=True`` and an existing checkpoint for the same
-        campaign (same contexts/seed/``max_tests``/service), completed
-        rows are restored instead of re-measured; a checkpoint written
-        by a *different* campaign raises :class:`CheckpointError`, and
-        a truncated/corrupt one raises the typed
-        :class:`CorruptCheckpointError` unless ``salvage=True`` drops
-        the damaged tail and re-measures from the last good row.
-
-        When a manifest destination resolves (explicit
-        ``config.manifest_path``, or the checkpoint's sibling) or the
-        config names a run store, the run collects metrics into a
-        fresh registry — unless the caller already routed one via
-        :func:`repro.obs.metrics.use_registry` — writes the run
-        manifest on the way out, and ingests the finished run
-        (manifest + measured dataset) into the store.
-        """
-        if seed is None:
-            seed = self.config.seed
-        if max_tests is None:
-            max_tests = self.config.max_tests
-        manifest_path = self._manifest_destination()
-        store_path = self.config.store_path
-        own_registry = (
-            MetricsRegistry()
-            if (manifest_path is not None or store_path is not None)
-            and isinstance(active_registry(), NullRegistry)
-            else None
-        )
-        started = time.perf_counter()
-        with use_registry(own_registry), span("campaign.serial"):
-            subset = campaign_subset(contexts, seed=seed, max_tests=max_tests)
-            n = len(subset)
-            fingerprint = campaign_fingerprint(
-                subset, seed, max_tests, self.service.name
-            )
-
-            rows: Dict[int, _RowState] = {}
-            resumed_rows = 0
-            if resume and self.checkpoint_path is not None:
-                rows = load_checkpoint(
-                    self.checkpoint_path, fingerprint, salvage=salvage
-                )
-                resumed_rows = sum(1 for s in rows.values() if s.done)
-
-            mode = self.config.mode
-            if mode is ExecutionMode.VECTORIZED and not bankable_service(
-                self.service
-            ):
-                raise ValueError(
-                    f"mode='vectorized' requires a bankable test "
-                    f"(swiftest-loopback on a fixed ladder), got "
-                    f"{self.service.name!r}; use mode='auto' or 'oracle'"
-                )
-            todo = [
-                i for i in range(n)
-                if not (i in rows and rows[i].done)
-            ]
-            if mode is not ExecutionMode.ORACLE and bankable_service(
-                self.service
-            ):
-                results = iter_banked_rows(
-                    self.service, self.retry, subset, todo, seed, mode=mode
-                )
-            else:
-                results = (
-                    (i, measure_row(self.service, self.retry, subset, i, seed))
-                    for i in todo
-                )
-            retries = 0
-            checkpoints_written = 0
-            since_flush = 0
-            try:
-                for i, state in results:
-                    rows[i] = state
-                    retries += max(0, state.attempts - 1)
-                    since_flush += 1
-                    if (
-                        self.checkpoint_path is not None
-                        and since_flush >= self.checkpoint_every
-                    ):
-                        write_checkpoint(
-                            self.checkpoint_path, fingerprint, rows
-                        )
-                        checkpoints_written += 1
-                        since_flush = 0
-            finally:
-                # Flush on every exit path — normal completion, a
-                # service bug, or a kill — so a resume never loses
-                # finished rows.
-                if self.checkpoint_path is not None and since_flush > 0:
-                    write_checkpoint(self.checkpoint_path, fingerprint, rows)
-                    checkpoints_written += 1
-
-            report = build_report(
-                subset, rows, resumed_rows, retries, checkpoints_written
-            )
-            if manifest_path is not None or store_path is not None:
-                metrics = active_registry()
-                elapsed = time.perf_counter() - started
-                if elapsed > 0:
-                    metrics.gauge("campaign.rows_per_s").set(
-                        report.n_rows / elapsed
-                    )
-                manifest = build_campaign_manifest(
-                    self._effective_config(seed, max_tests),
-                    report,
-                    metrics=metrics.to_dict(),
-                    elapsed_s=elapsed,
-                )
-                if manifest_path is not None:
-                    write_manifest(manifest_path, manifest)
-                if store_path is not None:
-                    report.store_run_id = ingest_report(
-                        store_path,
-                        manifest,
-                        report,
-                        month=self.config.store_month,
-                    )
-        return report
-
-    # -- manifest helpers ----------------------------------------------
-
-    def _manifest_destination(self) -> Optional[Path]:
-        """Explicit config destination, else the checkpoint's sibling
-        (honouring keyword-override checkpoints), else nowhere."""
-        if self.config.manifest_path is not None:
-            return Path(self.config.manifest_path)
-        if self.checkpoint_path is not None:
-            from repro.obs.manifest import manifest_path_for
-
-            return manifest_path_for(self.checkpoint_path)
-        return None
-
-    def _effective_config(
-        self, seed: int, max_tests: Optional[int]
-    ) -> CampaignConfig:
-        """The config the run actually used, with keyword overrides
-        (legacy spelling) folded back in for the manifest record."""
-        import dataclasses
-
-        return dataclasses.replace(
-            self.config,
-            seed=seed,
-            max_tests=max_tests,
-            test=self.service.name,
-            retry=self.retry,
-            checkpoint_path=self.checkpoint_path,
-            checkpoint_every=self.checkpoint_every,
-            n_shards=1,
-        )
-
-
-def run_supervised_campaign(
-    contexts: Dataset,
-    service: Optional[BandwidthTestService] = None,
-    seed: Optional[int] = None,
-    max_tests: Optional[int] = None,
-    retry: Optional[RetryPolicy] = None,
-    checkpoint_path: Optional[Union[str, Path]] = None,
-    checkpoint_every: Optional[int] = None,
-    resume: bool = False,
-    config: Optional[CampaignConfig] = None,
-    salvage: bool = False,
-) -> CampaignReport:
-    """One-call convenience over :class:`CampaignRuntime`.
-
-    With ``config`` (and ``config.n_shards > 1``) this dispatches to
-    the sharded engine; the keyword spelling stays serial.
-    """
-    if config is not None and config.n_shards > 1 and service is None:
-        from repro.harness.parallel import run_sharded_campaign
-
-        return run_sharded_campaign(
-            contexts, config, resume=resume, salvage=salvage
-        )
-    runtime = CampaignRuntime(
-        service=service,
-        retry=retry,
-        checkpoint_path=checkpoint_path,
-        checkpoint_every=checkpoint_every,
-        config=config,
-    )
-    return runtime.run(
-        contexts, seed=seed, max_tests=max_tests, resume=resume,
-        salvage=salvage,
-    )

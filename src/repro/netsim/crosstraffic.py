@@ -13,7 +13,6 @@ call :meth:`advance` once per slice before the network allocates.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -151,10 +150,10 @@ def attach_cross_traffic(
     across ``n_sources`` on/off flows on one link.
 
     Pass an explicit ``rng``, or a ``seed`` to derive one keyed on
-    ``(seed, link.name)`` via :func:`cross_traffic_rng`.  Omitting both
-    is deprecated: it reuses ``default_rng(0)``, so every unseeded call
-    site gets an identical burst schedule, defeating scenario diversity
-    and masking contention variance.
+    ``(seed, link.name)`` via :func:`cross_traffic_rng`.  One of the two
+    is required: a shared default stream would give every call site an
+    identical burst schedule, defeating scenario diversity and masking
+    contention variance.
     """
     if n_sources < 1:
         raise ValueError("need at least one source")
@@ -162,17 +161,10 @@ def attach_cross_traffic(
         raise ValueError("rate must be positive")
     if rng is not None and seed is not None:
         raise ValueError("pass either rng or seed, not both")
-    if rng is None and seed is not None:
+    if rng is None and seed is None:
+        raise ValueError("attach_cross_traffic needs an explicit rng or seed")
+    if rng is None:
         rng = cross_traffic_rng(seed, link.name)
-    elif rng is None:
-        warnings.warn(
-            "attach_cross_traffic without rng or seed reuses "
-            "default_rng(0) (identical burst schedule at every call "
-            "site); pass an explicit rng or seed",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        rng = np.random.default_rng(0)
     per_source = total_rate_mbps / n_sources
     sources = [
         OnOffSource(

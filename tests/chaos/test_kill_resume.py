@@ -7,25 +7,27 @@ import pytest
 
 from repro.baselines.btsapp import BtsApp
 from repro.baselines.common import BandwidthTestService, BTSResult, TestOutcome
-from repro.dataset.generator import CampaignConfig, generate_campaign
+from repro.dataset.generator import CampaignConfig as GenerationConfig
+from repro.dataset.generator import generate_campaign
 from repro.dataset.records import SCHEMA
-from repro.harness.runtime import (
-    CampaignRuntime,
-    RetryPolicy,
-    run_supervised_campaign,
-)
+from repro.harness.config import CampaignConfig
+from repro.harness.parallel import run_campaign
+from repro.harness.runtime import RetryPolicy
 
 pytestmark = pytest.mark.chaos
 
 SEED = 11
 MAX_TESTS = 20
 RETRY = RetryPolicy(max_attempts=2)
+#: Registry name the killed and the resumed phase both run under.
+TEST = "quarantine-some"
 
 
 class QuarantineSome(BandwidthTestService):
     """BTS-APP, except 4G rows come back FAILED — deterministic
-    quarantine fodder.  Shares BTS-APP's service name so the campaign
-    fingerprint matches across the killed and resumed phases."""
+    quarantine fodder.  :class:`KilledMidCampaign` inherits its service
+    name, so the campaign fingerprint matches across the killed and
+    resumed phases."""
 
     name = "btsapp"
 
@@ -66,43 +68,52 @@ def assert_datasets_identical(a, b):
             assert np.array_equal(ca, cb), name
 
 
+def config(ck=None, every=100):
+    return CampaignConfig(seed=SEED, max_tests=MAX_TESTS, test=TEST,
+                          retry=RETRY, checkpoint_path=ck,
+                          checkpoint_every=every)
+
+
 @pytest.fixture(scope="module")
 def contexts():
     return generate_campaign(
-        CampaignConfig(n_tests=1_500, seed=37,
-                       tech_shares={"4G": 0.4, "WiFi5": 0.6}))
+        GenerationConfig(n_tests=1_500, seed=37,
+                         tech_shares={"4G": 0.4, "WiFi5": 0.6}))
 
 
-@pytest.fixture(scope="module")
-def baseline(contexts):
+@pytest.fixture
+def run_as(registered_test):
+    """``run_as(service, ...)``: run the campaign with ``service``
+    registered under :data:`TEST`."""
+
+    def run(service, contexts, ck=None, every=100, resume=False):
+        registered_test(TEST, lambda: service)
+        return run_campaign(contexts, config(ck, every), resume=resume)
+
+    return run
+
+
+@pytest.fixture
+def baseline(contexts, run_as):
     """The uninterrupted run every killed-and-resumed run must match."""
-    return run_supervised_campaign(
-        contexts, service=QuarantineSome(), seed=SEED,
-        max_tests=MAX_TESTS, retry=RETRY,
-    )
+    return run_as(QuarantineSome(), contexts)
 
 
 @pytest.mark.parametrize("kill_after", [1, 8, 16])
 def test_kill_and_resume_is_bit_identical(tmp_path, contexts, baseline,
-                                          kill_after):
+                                          run_as, kill_after):
     ck = tmp_path / "run.ckpt"
 
     # Phase 1: the campaign dies after `kill_after` service calls
     # (calls, not rows: retries of quarantine-bound rows count too, so
     # the kill lands at an arbitrary point in a row's attempt loop).
-    killed = CampaignRuntime(
-        service=KilledMidCampaign(kill_after), retry=RETRY,
-        checkpoint_path=ck, checkpoint_every=3,
-    )
     with pytest.raises(KeyboardInterrupt):
-        killed.run(contexts, seed=SEED, max_tests=MAX_TESTS)
+        run_as(KilledMidCampaign(kill_after), contexts, ck, every=3)
     assert ck.exists(), "the dying run must still flush its checkpoint"
 
     # Phase 2: a fresh process resumes from the checkpoint.
     service = QuarantineSome()
-    resumed = CampaignRuntime(
-        service=service, retry=RETRY, checkpoint_path=ck, checkpoint_every=3,
-    ).run(contexts, seed=SEED, max_tests=MAX_TESTS, resume=True)
+    resumed = run_as(service, contexts, ck, every=3, resume=True)
 
     # Rows finished before the kill are restored, not re-measured:
     # every row ends up measured or quarantined, and the resume phase
@@ -123,17 +134,11 @@ def test_kill_and_resume_is_bit_identical(tmp_path, contexts, baseline,
 
 
 def test_resume_after_clean_finish_remeasures_nothing(tmp_path, contexts,
-                                                      baseline):
+                                                      baseline, run_as):
     ck = tmp_path / "done.ckpt"
-    first = run_supervised_campaign(
-        contexts, service=QuarantineSome(), seed=SEED, max_tests=MAX_TESTS,
-        retry=RETRY, checkpoint_path=ck,
-    )
+    first = run_as(QuarantineSome(), contexts, ck)
     service = QuarantineSome()
-    again = run_supervised_campaign(
-        contexts, service=service, seed=SEED, max_tests=MAX_TESTS,
-        retry=RETRY, checkpoint_path=ck, resume=True,
-    )
+    again = run_as(service, contexts, ck, resume=True)
     assert service.calls == 0
     assert again.resumed_rows == MAX_TESTS
     assert again.quarantined == first.quarantined == baseline.quarantined

@@ -39,3 +39,22 @@ def registry(campaign_2021):
 def rng():
     """A fresh deterministic RNG per test."""
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def registered_test(monkeypatch):
+    """``registered_test(name, factory)`` puts a fake bandwidth test in
+    the registry for one test and returns ``name``.
+
+    A campaign builds its service from ``CampaignConfig.test``, so a
+    fake enters a run the way real tests do — by registry name — and
+    shard workers forked from the test process see it too.  The
+    registry is restored when the test ends.
+    """
+    from repro.core.variants import _BANDWIDTH_TESTS
+
+    def register(name, factory):
+        monkeypatch.setitem(_BANDWIDTH_TESTS, name, factory)
+        return name
+
+    return register

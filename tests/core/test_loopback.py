@@ -109,19 +109,3 @@ def test_vectorized_refuses_data_plane_faults():
             data_faults=faults, mode="vectorized",
         )
 
-
-def test_vectorized_kwarg_still_works_but_warns():
-    """``vectorized=`` survives one release as a deprecated alias."""
-    with pytest.warns(DeprecationWarning, match="mode='oracle'"):
-        legacy = run_loopback_session(
-            make_model(), capacity_mbps=60.0, vectorized=False
-        )
-    reference = run_loopback_session(
-        make_model(), capacity_mbps=60.0, mode="oracle"
-    )
-    assert legacy.samples == reference.samples
-    with pytest.raises(ValueError, match="both"):
-        run_loopback_session(
-            make_model(), capacity_mbps=60.0,
-            vectorized=True, mode="vectorized",
-        )

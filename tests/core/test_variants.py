@@ -15,7 +15,6 @@ from repro.core.variants import (
     _BANDWIDTH_TESTS,
     bandwidth_test_names,
     create_bandwidth_test,
-    make_bandwidth_test,
     register_bandwidth_test,
 )
 from repro.testbed.env import make_environment
@@ -167,12 +166,6 @@ def test_register_custom_test_then_create():
         assert "custom-test" in bandwidth_test_names()
     finally:
         _BANDWIDTH_TESTS.pop("custom-test", None)
-
-
-def test_make_bandwidth_test_is_a_deprecated_alias():
-    with pytest.warns(DeprecationWarning):
-        service = make_bandwidth_test("bts-app")
-    assert service.name == "bts-app"
 
 
 def test_loopback_swiftest_runs_as_a_service():

@@ -2,25 +2,29 @@
 
 import pytest
 
-from repro.core.client import SwiftestClient
-from repro.dataset.generator import CampaignConfig, generate_campaign
-from repro.harness.collection import measured_campaign, measurement_error_stats
+from repro.dataset.generator import CampaignConfig as GenerationConfig
+from repro.dataset.generator import generate_campaign
+from repro.harness.collection import measurement_error_stats
+from repro.harness.config import CampaignConfig
+from repro.harness.parallel import run_campaign
 
 
 @pytest.fixture(scope="module")
 def contexts():
     return generate_campaign(
-        CampaignConfig(n_tests=3_000, seed=61,
-                       tech_shares={"4G": 0.3, "5G": 0.3, "WiFi5": 0.4})
+        GenerationConfig(n_tests=3_000, seed=61,
+                         tech_shares={"4G": 0.3, "5G": 0.3, "WiFi5": 0.4})
     )
 
 
 @pytest.fixture(scope="module")
 def measured(contexts):
-    return measured_campaign(contexts, max_tests=40, seed=3)
+    return run_campaign(
+        contexts, CampaignConfig(seed=3, max_tests=40)
+    ).dataset
 
 
-def test_measured_campaign_preserves_context(measured, contexts):
+def test_measured_rows_preserve_context(measured, contexts):
     assert len(measured) == 40
     # Context columns survive unchanged for matching test ids.
     truth_band = dict(zip(contexts.column("test_id").tolist(),
@@ -38,18 +42,19 @@ def test_measured_values_track_ground_truth(measured, contexts):
     assert stats["mean_rel_error"] < 0.10
 
 
-def test_measured_campaign_with_swiftest(contexts, registry):
-    measured = measured_campaign(
-        contexts, service=SwiftestClient(registry), max_tests=15, seed=5
-    )
-    stats = measurement_error_stats(contexts, measured)
+def test_measured_with_swiftest(contexts, registry):
+    report = run_campaign(contexts, CampaignConfig(
+        seed=5, max_tests=15, test="swiftest",
+        test_kwargs={"registry": registry},
+    ))
+    stats = measurement_error_stats(contexts, report.dataset)
     assert stats["median_rel_error"] < 0.08
 
 
-def test_measured_campaign_validation(contexts):
+def test_empty_campaign_rejected(contexts):
     empty = contexts.where(tech="6G")
     with pytest.raises(ValueError):
-        measured_campaign(empty)
+        run_campaign(empty, CampaignConfig())
 
 
 def test_error_stats_require_matching_ids(contexts, measured):
@@ -58,32 +63,6 @@ def test_error_stats_require_matching_ids(contexts, measured):
 
 
 # -- failure paths and determinism --------------------------------------
-
-
-class _RaisesOnThirdRow:
-    """A service that blows up on its third call."""
-
-    name = "raises-3"
-
-    def __init__(self):
-        self.calls = 0
-
-    def run(self, env):
-        self.calls += 1
-        if self.calls == 3:
-            raise RuntimeError("server vanished mid-campaign")
-        from repro.baselines.btsapp import BtsApp
-        return BtsApp().run(env)
-
-
-def test_service_raising_mid_campaign_propagates(contexts):
-    """measured_campaign is the all-or-nothing fast path: a mid-run
-    exception reaches the caller untouched (the supervised runtime is
-    where retries and quarantine live)."""
-    service = _RaisesOnThirdRow()
-    with pytest.raises(RuntimeError, match="vanished mid-campaign"):
-        measured_campaign(contexts, service=service, max_tests=10, seed=3)
-    assert service.calls == 3  # rows after the failure never ran
 
 
 def test_subsampling_is_deterministic_under_fixed_seed(contexts):
@@ -129,12 +108,13 @@ def test_retry_attempts_see_independent_weather(contexts):
     assert env1.true_capacity(1.0) != env0a.true_capacity(1.0)
 
 
-def test_quarantined_rows_are_accounted_not_dropped(contexts):
-    """The supervised path over the same subset: every subset row ends
-    up either measured or in the quarantine report — none vanish."""
+def test_quarantined_rows_are_accounted_not_dropped(contexts,
+                                                    registered_test):
+    """Every subset row ends up either measured or in the quarantine
+    report — none vanish."""
     from repro.baselines.common import BandwidthTestService
     from repro.harness.collection import campaign_subset
-    from repro.harness.runtime import RetryPolicy, run_supervised_campaign
+    from repro.harness.runtime import RetryPolicy
 
     class Fails5G(BandwidthTestService):
         name = "fails-5g"
@@ -147,10 +127,10 @@ def test_quarantined_rows_are_accounted_not_dropped(contexts):
 
     subset = campaign_subset(contexts, seed=3, max_tests=30)
     n_5g = sum(1 for t in subset.column("tech").tolist() if t == "5G")
-    report = run_supervised_campaign(
-        contexts, service=Fails5G(), seed=3, max_tests=30,
+    report = run_campaign(contexts, CampaignConfig(
+        seed=3, max_tests=30, test=registered_test(Fails5G.name, Fails5G),
         retry=RetryPolicy(max_attempts=2),
-    )
+    ))
     assert report.n_measured + report.n_quarantined == 30
     assert report.n_quarantined == n_5g
     measured_ids = set(report.dataset.column("test_id").tolist())

@@ -1,7 +1,7 @@
 """The unified ExecutionMode API and its campaign-path guarantees.
 
-Covers the enum itself (coercion, JSON behaviour), the deprecated
-``vectorized=`` bridge, and the harness-level contracts: banked and
+Covers the enum itself (coercion, JSON behaviour) and the
+harness-level contracts: banked and
 per-row execution are byte-identical, checkpoints interoperate across
 modes (mode is not part of the campaign fingerprint), manifests record
 the mode as its plain string, fault-plan rows fall back to the oracle
@@ -16,7 +16,7 @@ import pytest
 from repro.dataset.generator import CampaignConfig as GenerationConfig
 from repro.dataset.generator import generate_campaign
 from repro.dataset.records import SCHEMA
-from repro.execmode import ExecutionMode, resolve_execution_mode
+from repro.execmode import ExecutionMode
 from repro.harness.config import CampaignConfig
 from repro.harness.parallel import run_campaign
 from repro.harness.runtime import bankable_service, iter_banked_rows
@@ -64,23 +64,6 @@ def test_mode_is_json_transparent():
     assert json.loads(json.dumps(ExecutionMode.ORACLE)) == "oracle"
 
 
-def test_resolve_prefers_mode_and_bridges_vectorized():
-    assert resolve_execution_mode("oracle") is ExecutionMode.ORACLE
-    assert resolve_execution_mode(None) is ExecutionMode.AUTO
-    with pytest.warns(DeprecationWarning, match="mode='vectorized'"):
-        assert (
-            resolve_execution_mode(vectorized=True)
-            is ExecutionMode.VECTORIZED
-        )
-    with pytest.warns(DeprecationWarning, match="mode='oracle'"):
-        assert (
-            resolve_execution_mode(vectorized=False)
-            is ExecutionMode.ORACLE
-        )
-    with pytest.raises(ValueError, match="not both"):
-        resolve_execution_mode("auto", vectorized=True)
-
-
 def test_campaign_config_coerces_mode_strings():
     assert CampaignConfig().mode is ExecutionMode.AUTO
     assert (
@@ -90,15 +73,15 @@ def test_campaign_config_coerces_mode_strings():
         CampaignConfig(mode="warp")
 
 
-def test_loopback_swiftest_exposes_mode_and_legacy_property():
+def test_loopback_swiftest_exposes_mode():
     from repro.core.variants import LoopbackSwiftest
 
-    service = LoopbackSwiftest(mode="vectorized")
-    assert service.mode is ExecutionMode.VECTORIZED
-    assert service.vectorized is True
-    assert LoopbackSwiftest().vectorized is None  # auto
-    with pytest.warns(DeprecationWarning):
-        assert LoopbackSwiftest(vectorized=False).vectorized is False
+    assert (
+        LoopbackSwiftest(mode="vectorized").mode
+        is ExecutionMode.VECTORIZED
+    )
+    assert LoopbackSwiftest(mode="oracle").mode is ExecutionMode.ORACLE
+    assert LoopbackSwiftest().mode is ExecutionMode.AUTO
 
 
 # -- banked vs per-row execution ---------------------------------------

@@ -10,7 +10,6 @@ from repro.dataset.records import SCHEMA
 from repro.dataset.sampling import demo_campaign
 from repro.harness.config import CampaignConfig
 from repro.harness.parallel import run_campaign
-from repro.harness.runtime import CampaignRuntime
 from repro.obs.manifest import load_manifest, manifest_path_for
 from repro.obs.metrics import MetricsRegistry, use_registry
 
@@ -102,8 +101,8 @@ def test_unmanifested_run_stays_dark(contexts, tmp_path):
 def test_caller_registry_collects_serial_metrics(contexts):
     reg = MetricsRegistry()
     with use_registry(reg):
-        report = CampaignRuntime(config=CampaignConfig(seed=3)).run(
-            contexts, max_tests=6
+        report = run_campaign(
+            contexts, CampaignConfig(seed=3, max_tests=6)
         )
     assert reg.counter("campaign.rows_measured").value == report.n_measured
     assert reg.counter("campaign.outcome.converged").value > 0

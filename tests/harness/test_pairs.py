@@ -28,6 +28,41 @@ def test_environment_for_record_builds_valid_env(rng):
     assert env.true_capacity(0.0) > 0
 
 
+def test_shaped_link_never_throttles_above_capacity():
+    """A sub-megabit context used to get a 1 Mbps throttle above its
+    own capacity, which ShapedTrace rejects."""
+    from repro.netsim.trace import ShapedTrace
+
+    shaped = 0
+    for seed in range(2000):
+        env = environment_for_record(
+            0.4, "4G", np.random.default_rng(seed)
+        )
+        trace = env.access.trace
+        if isinstance(trace, ShapedTrace):
+            shaped += 1
+            assert trace.throttled_mbps == 0.4
+    assert shaped, "expected some shaped links in 2000 draws"
+
+
+def test_sub_megabit_context_does_not_crash_campaign():
+    """The seeded context below 1 Mbps that used to crash the whole
+    campaign from ``row_environment``, outside the retry loop."""
+    from repro.dataset.generator import CampaignConfig as GenerationConfig
+    from repro.dataset.generator import generate_campaign
+    from repro.harness.config import CampaignConfig
+    from repro.harness.parallel import run_campaign
+
+    contexts = generate_campaign(
+        GenerationConfig(year=2021, n_tests=2000, seed=5000)
+    )
+    slow = contexts.filter(contexts.bandwidth < 1.0)
+    assert len(slow) == 1
+    for mode in ("auto", "oracle"):
+        report = run_campaign(slow, CampaignConfig(seed=3, mode=mode))
+        assert report.n_measured + report.n_quarantined == 1
+
+
 def test_pair_count_and_techs(small_campaign):
     assert len(small_campaign.observations) == 24
     assert set(small_campaign.techs()) <= {"4G", "5G", "WiFi5"}

@@ -1,5 +1,7 @@
-"""Sharded campaign engine: determinism, checkpoint merge, progress."""
+"""run_campaign across shard counts: identity, checkpoint merge,
+progress."""
 
+import json
 import os
 
 import numpy as np
@@ -10,21 +12,15 @@ from repro.baselines.common import (
     BTSResult,
     TestOutcome,
 )
-from repro.core.variants import (
-    LoopbackSwiftest,
-    _BANDWIDTH_TESTS,
-    register_bandwidth_test,
-)
+from repro.core.variants import LoopbackSwiftest
 from repro.dataset.records import SCHEMA
 from repro.dataset.sampling import demo_campaign
 from repro.harness.config import CampaignConfig
 from repro.harness.parallel import (
     run_campaign,
-    run_sharded_campaign,
     shard_checkpoint_path,
     shard_of,
 )
-from repro.harness.runtime import CampaignRuntime
 
 
 @pytest.fixture(scope="module")
@@ -57,15 +53,6 @@ class DiesMidRow(BandwidthTestService):
 
     def run(self, env):
         os._exit(13)
-
-
-@pytest.fixture(autouse=True)
-def _registered_test_services():
-    register_bandwidth_test(Fails4G.name, Fails4G)
-    register_bandwidth_test(DiesMidRow.name, DiesMidRow)
-    yield
-    _BANDWIDTH_TESTS.pop(Fails4G.name, None)
-    _BANDWIDTH_TESTS.pop(DiesMidRow.name, None)
 
 
 def datasets_identical(a, b):
@@ -115,27 +102,41 @@ def test_shard_of_rejects_bad_count():
 # -- determinism across shard counts ------------------------------------
 
 
-def test_shard_count_never_changes_results(contexts):
-    """The acceptance property: shard counts 1, 2 and 8 produce
-    identical datasets and identical quarantine sets."""
-    reports = {
-        n: run_campaign(contexts, config_with(n_shards=n))
-        for n in (1, 2, 8)
-    }
-    base = reports[1]
-    for n in (2, 8):
-        datasets_identical(base.dataset, reports[n].dataset)
-        assert [q.row_index for q in reports[n].quarantined] == [
-            q.row_index for q in base.quarantined
-        ]
-        assert reports[n].backoff_wait_s == base.backoff_wait_s
+@pytest.fixture(scope="module")
+def reference(contexts, tmp_path_factory):
+    """In-process per-row run (``mode='oracle'``) with its checkpoint."""
+    ck = tmp_path_factory.mktemp("reference") / "run.ckpt"
+    report = run_campaign(
+        contexts, config_with(mode="oracle", checkpoint_path=ck)
+    )
+    return report, json.loads(ck.read_text())
 
 
-def test_quarantine_is_shard_invariant(contexts):
+@pytest.mark.parametrize("n_shards", [1, 2, 8])
+def test_shard_count_never_changes_results(contexts, reference, tmp_path,
+                                           n_shards):
+    """The acceptance property: any shard count yields the reference
+    run's dataset bytes, quarantine set, accounted backoff, attribution
+    summary and checkpoint contents."""
+    expected, expected_checkpoint = reference
+    ck = tmp_path / "run.ckpt"
+    report = run_campaign(
+        contexts, config_with(n_shards=n_shards, checkpoint_path=ck)
+    )
+    datasets_identical(expected.dataset, report.dataset)
+    assert np.array_equal(report.dataset.column("bottleneck_attr"),
+                          expected.dataset.column("bottleneck_attr"))
+    assert report.quarantined == expected.quarantined
+    assert report.backoff_wait_s == expected.backoff_wait_s
+    assert report.retries == expected.retries
+    assert report.attribution == expected.attribution
+    assert json.loads(ck.read_text()) == expected_checkpoint
+
+
+def test_quarantine_is_shard_invariant(contexts, registered_test):
+    test = registered_test(Fails4G.name, Fails4G)
     reports = {
-        n: run_campaign(
-            contexts, config_with(test=Fails4G.name, n_shards=n)
-        )
+        n: run_campaign(contexts, config_with(test=test, n_shards=n))
         for n in (1, 2, 8)
     }
     quarantined = {
@@ -151,27 +152,20 @@ def test_quarantine_is_shard_invariant(contexts):
             assert q.outcome == TestOutcome.FAILED.value
 
 
-def test_sharded_matches_serial_runtime(contexts):
-    """run_campaign(n_shards=8) is a drop-in for CampaignRuntime."""
-    config = config_with(n_shards=8, max_tests=16)
-    sharded = run_sharded_campaign(contexts, config)
-    serial = CampaignRuntime(config=config).run(contexts)
-    assert sharded.n_measured == serial.n_measured == 16
-    datasets_identical(sharded.dataset, serial.dataset)
-
-
 # -- checkpoints --------------------------------------------------------
 
 
 def test_sharded_checkpoint_resumes_serially(tmp_path, contexts):
     """The merged main checkpoint is an ordinary serial checkpoint."""
     ck = tmp_path / "run.ckpt"
-    config = config_with(n_shards=4, checkpoint_path=ck)
-    first = run_sharded_campaign(contexts, config)
+    first = run_campaign(
+        contexts, config_with(n_shards=4, checkpoint_path=ck)
+    )
     assert ck.exists()
 
-    serial_config = config_with(n_shards=1, checkpoint_path=ck)
-    again = CampaignRuntime(config=serial_config).run(contexts, resume=True)
+    again = run_campaign(
+        contexts, config_with(n_shards=1, checkpoint_path=ck), resume=True
+    )
     assert again.resumed_rows == len(contexts)
     datasets_identical(first.dataset, again.dataset)
 
@@ -179,10 +173,8 @@ def test_sharded_checkpoint_resumes_serially(tmp_path, contexts):
 def test_serial_checkpoint_resumes_sharded(tmp_path, contexts):
     """...and vice versa: shards pick up a serial run's checkpoint."""
     ck = tmp_path / "run.ckpt"
-    serial = CampaignRuntime(
-        config=config_with(checkpoint_path=ck)
-    ).run(contexts)
-    sharded = run_sharded_campaign(
+    serial = run_campaign(contexts, config_with(checkpoint_path=ck))
+    sharded = run_campaign(
         contexts, config_with(n_shards=4, checkpoint_path=ck), resume=True
     )
     assert sharded.resumed_rows == len(contexts)
@@ -192,7 +184,7 @@ def test_serial_checkpoint_resumes_sharded(tmp_path, contexts):
 def test_shard_files_are_merged_then_removed(tmp_path, contexts):
     ck = tmp_path / "run.ckpt"
     config = config_with(n_shards=4, checkpoint_path=ck, checkpoint_every=1)
-    run_sharded_campaign(contexts, config)
+    run_campaign(contexts, config)
     assert ck.exists()
     for shard_id in range(4):
         assert not shard_checkpoint_path(ck, shard_id).exists()
@@ -201,16 +193,47 @@ def test_shard_files_are_merged_then_removed(tmp_path, contexts):
 # -- failure containment ------------------------------------------------
 
 
-def test_dead_worker_fails_loud_but_keeps_checkpoints(tmp_path, contexts):
+def test_dead_worker_fails_loud_but_keeps_checkpoints(tmp_path, contexts,
+                                                      registered_test):
     ck = tmp_path / "run.ckpt"
     config = config_with(
-        test=DiesMidRow.name, n_shards=2,
+        test=registered_test(DiesMidRow.name, DiesMidRow), n_shards=2,
         checkpoint_path=ck, checkpoint_every=1,
     )
     with pytest.raises(RuntimeError, match="without a result"):
-        run_sharded_campaign(contexts, config)
+        run_campaign(contexts, config)
     # The supervisor still merged whatever the shards flushed.
     assert ck.exists()
+
+
+class InterruptedMidShard(BandwidthTestService):
+    """Measures three rows, then raises past the retry loop."""
+
+    name = "loopback-interrupted"
+
+    def __init__(self):
+        self.inner = LoopbackSwiftest()
+        self.calls = 0
+
+    def run(self, env):
+        self.calls += 1
+        if self.calls > 3:
+            raise KeyboardInterrupt("operator stop")
+        return self.inner.run(env)
+
+
+def test_worker_error_fails_loud_but_keeps_rows(tmp_path, contexts,
+                                                 registered_test):
+    ck = tmp_path / "run.ckpt"
+    config = config_with(
+        test=registered_test(InterruptedMidShard.name, InterruptedMidShard),
+        n_shards=2, checkpoint_path=ck, checkpoint_every=1,
+    )
+    with pytest.raises(RuntimeError, match="KeyboardInterrupt: operator"):
+        run_campaign(contexts, config)
+    # Each worker reported its three rows before dying; the merged
+    # checkpoint holds them all.
+    assert len(json.loads(ck.read_text())["rows"]) == 6
 
 
 # -- progress streaming -------------------------------------------------
@@ -218,7 +241,7 @@ def test_dead_worker_fails_loud_but_keeps_checkpoints(tmp_path, contexts):
 
 def test_progress_streams_per_row_events(contexts):
     events = []
-    report = run_sharded_campaign(
+    report = run_campaign(
         contexts, config_with(n_shards=4),
         on_progress=lambda snap: events.append(
             (snap.shard_id, snap.done, snap.finished)
@@ -231,3 +254,31 @@ def test_progress_streams_per_row_events(contexts):
     assert len(per_row) + len(finishes) == len(events)
     assert sum(1 for _ in per_row) == len(contexts)
     assert finishes <= set(range(4))
+
+
+def test_in_process_run_reports_progress_as_shard_zero(contexts):
+    events = []
+    report = run_campaign(
+        contexts, config_with(n_shards=1),
+        on_progress=lambda snap: events.append(
+            (snap.shard_id, snap.done, snap.finished)
+        ),
+    )
+    assert report.n_measured == len(contexts)
+    assert [e[1] for e in events if not e[2]] == list(
+        range(1, len(contexts) + 1)
+    )
+    assert events[-1] == (0, len(contexts), True)
+
+
+def test_in_process_run_starts_no_worker(contexts, monkeypatch):
+    """``n_shards == 1`` runs the row loop in the caller's process: no
+    multiprocessing context, no queue, no worker."""
+    import repro.harness.parallel as parallel
+
+    def no_workers():
+        raise AssertionError("n_shards=1 must not start workers")
+
+    monkeypatch.setattr(parallel, "_mp_context", no_workers)
+    report = run_campaign(contexts, config_with(n_shards=1))
+    assert report.n_measured == len(contexts)

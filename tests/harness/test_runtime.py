@@ -1,4 +1,4 @@
-"""Supervised campaign runtime: retries, quarantine, checkpoint/resume."""
+"""Supervised campaigns: retries, quarantine, checkpoint/resume."""
 
 import json
 
@@ -7,21 +7,19 @@ import pytest
 
 from repro.baselines.btsapp import BtsApp
 from repro.baselines.common import BandwidthTestService, BTSResult, TestOutcome
-from repro.dataset.generator import CampaignConfig, generate_campaign
-from repro.harness.collection import measured_campaign
-from repro.harness.runtime import (
-    CampaignRuntime,
-    CheckpointError,
-    RetryPolicy,
-    run_supervised_campaign,
-)
+from repro.dataset.generator import CampaignConfig as GenerationConfig
+from repro.dataset.generator import generate_campaign
+from repro.harness.collection import campaign_subset, row_environment
+from repro.harness.config import CampaignConfig
+from repro.harness.parallel import run_campaign
+from repro.harness.runtime import CheckpointError, RetryPolicy
 
 
 @pytest.fixture(scope="module")
 def contexts():
     return generate_campaign(
-        CampaignConfig(n_tests=2_000, seed=71,
-                       tech_shares={"4G": 0.5, "WiFi5": 0.5}))
+        GenerationConfig(n_tests=2_000, seed=71,
+                         tech_shares={"4G": 0.5, "WiFi5": 0.5}))
 
 
 class FlakyOnce(BandwidthTestService):
@@ -113,20 +111,30 @@ def test_retry_policy_validation():
 # -- clean runs ---------------------------------------------------------
 
 
-def test_clean_run_matches_measured_campaign(contexts):
-    """With nothing failing, the supervised runtime is a drop-in for
-    the all-or-nothing fast path — bit-identical output."""
-    report = run_supervised_campaign(contexts, seed=5, max_tests=12)
-    baseline = measured_campaign(contexts, seed=5, max_tests=12)
+def test_clean_run_matches_unsupervised_measurement(contexts):
+    """With nothing failing, supervision is invisible: each row holds
+    exactly what one bare test run over its environment measures, and
+    every context column passes through untouched."""
+    report = run_campaign(contexts, CampaignConfig(seed=5, max_tests=12))
+    subset = campaign_subset(contexts, seed=5, max_tests=12)
     assert report.n_measured == report.n_rows == 12
     assert report.quarantined == []
     assert report.retries == 0
-    datasets_identical(report.dataset, baseline)
+    expected = [
+        BtsApp().run(row_environment(subset, i, seed=5)).bandwidth_mbps
+        for i in range(12)
+    ]
+    assert report.dataset.bandwidth.tolist() == expected
+    for name in ("test_id", "tech", "band", "plan_mbps"):
+        assert np.array_equal(report.dataset.column(name),
+                              subset.column(name)), name
 
 
-def test_transient_failures_are_retried_not_quarantined(contexts):
-    report = run_supervised_campaign(
-        contexts, service=FlakyOnce(), seed=5, max_tests=8
+def test_transient_failures_are_retried_not_quarantined(contexts,
+                                                        registered_test):
+    test = registered_test(FlakyOnce.name, FlakyOnce)
+    report = run_campaign(
+        contexts, CampaignConfig(seed=5, max_tests=8, test=test)
     )
     assert report.n_measured == 8
     assert report.quarantined == []
@@ -134,11 +142,12 @@ def test_transient_failures_are_retried_not_quarantined(contexts):
     assert report.backoff_wait_s > 0.0  # accounted, deterministic
 
 
-def test_exhausted_rows_are_quarantined_with_error(contexts):
-    report = run_supervised_campaign(
-        contexts, service=AlwaysFails(), seed=5, max_tests=5,
-        retry=RetryPolicy(max_attempts=2),
-    )
+def test_exhausted_rows_are_quarantined_with_error(contexts,
+                                                   registered_test):
+    test = registered_test(AlwaysFails.name, AlwaysFails)
+    report = run_campaign(contexts, CampaignConfig(
+        seed=5, max_tests=5, test=test, retry=RetryPolicy(max_attempts=2),
+    ))
     assert report.dataset is None
     assert report.n_measured == 0
     assert len(report.quarantined) == 5
@@ -148,11 +157,12 @@ def test_exhausted_rows_are_quarantined_with_error(contexts):
         assert "backend is down" in row.error
 
 
-def test_unusable_outcome_rows_are_quarantined_with_outcome(contexts):
-    report = run_supervised_campaign(
-        contexts, service=FailedOutcome(), seed=5, max_tests=30,
-        retry=RetryPolicy(max_attempts=2),
-    )
+def test_unusable_outcome_rows_are_quarantined_with_outcome(
+        contexts, registered_test):
+    test = registered_test(FailedOutcome.name, FailedOutcome)
+    report = run_campaign(contexts, CampaignConfig(
+        seed=5, max_tests=30, test=test, retry=RetryPolicy(max_attempts=2),
+    ))
     subset_techs = {"4G", "WiFi5"}
     assert {t for t in report.dataset.column("tech").tolist()} <= subset_techs
     assert report.n_measured + len(report.quarantined) == 30
@@ -168,42 +178,48 @@ def test_unusable_outcome_rows_are_quarantined_with_outcome(contexts):
 
 
 def test_checkpoint_written_and_resumed(tmp_path, contexts):
-    ck = tmp_path / "run.ckpt"
-    runtime = CampaignRuntime(checkpoint_path=ck, checkpoint_every=4)
-    first = runtime.run(contexts, seed=7, max_tests=10)
-    assert ck.exists()
+    config = CampaignConfig(seed=7, max_tests=10,
+                            checkpoint_path=tmp_path / "run.ckpt",
+                            checkpoint_every=4)
+    first = run_campaign(contexts, config)
+    assert config.checkpoint_path.exists()
     assert first.checkpoints_written >= 2
 
     # A resume with everything done re-measures nothing.
-    again = runtime.run(contexts, seed=7, max_tests=10, resume=True)
+    again = run_campaign(contexts, config, resume=True)
     assert again.resumed_rows == 10
     datasets_identical(first.dataset, again.dataset)
 
 
 def test_checkpoint_rejects_foreign_campaign(tmp_path, contexts):
     ck = tmp_path / "run.ckpt"
-    runtime = CampaignRuntime(checkpoint_path=ck, checkpoint_every=2)
-    runtime.run(contexts, seed=7, max_tests=6)
+    run_campaign(contexts, CampaignConfig(
+        seed=7, max_tests=6, checkpoint_path=ck, checkpoint_every=2,
+    ))
     with pytest.raises(CheckpointError):
-        runtime.run(contexts, seed=8, max_tests=6, resume=True)
+        run_campaign(contexts, CampaignConfig(
+            seed=8, max_tests=6, checkpoint_path=ck, checkpoint_every=2,
+        ), resume=True)
 
 
 def test_corrupt_checkpoint_raises_checkpoint_error(tmp_path, contexts):
     ck = tmp_path / "run.ckpt"
     ck.write_text("{not json")
-    runtime = CampaignRuntime(checkpoint_path=ck)
     with pytest.raises(CheckpointError):
-        runtime.run(contexts, seed=7, max_tests=4, resume=True)
+        run_campaign(contexts, CampaignConfig(
+            seed=7, max_tests=4, checkpoint_path=ck,
+        ), resume=True)
 
 
 def test_resume_without_checkpoint_file_starts_fresh(tmp_path, contexts):
-    runtime = CampaignRuntime(checkpoint_path=tmp_path / "absent.ckpt")
-    report = runtime.run(contexts, seed=7, max_tests=4, resume=True)
+    report = run_campaign(contexts, CampaignConfig(
+        seed=7, max_tests=4, checkpoint_path=tmp_path / "absent.ckpt",
+    ), resume=True)
     assert report.resumed_rows == 0
     assert report.n_measured == 4
 
 
-def test_checkpoint_flushed_on_crash(tmp_path, contexts):
+def test_checkpoint_flushed_on_crash(tmp_path, contexts, registered_test):
     """A service bug mid-campaign must not lose finished rows: the
     checkpoint on disk holds everything completed before the crash."""
 
@@ -221,10 +237,11 @@ def test_checkpoint_flushed_on_crash(tmp_path, contexts):
             return self.inner.run(env)
 
     ck = tmp_path / "run.ckpt"
-    runtime = CampaignRuntime(
-        service=ExplodesEventually(), checkpoint_path=ck, checkpoint_every=100
-    )
+    test = registered_test("explodes-eventually", ExplodesEventually)
     with pytest.raises(KeyboardInterrupt):
-        runtime.run(contexts, seed=7, max_tests=10)
+        run_campaign(contexts, CampaignConfig(
+            seed=7, max_tests=10, test=test,
+            checkpoint_path=ck, checkpoint_every=100,
+        ))
     saved = json.loads(ck.read_text())
     assert len(saved["rows"]) == 6

@@ -18,7 +18,6 @@ from repro.dataset.records import SCHEMA
 from repro.harness.config import CampaignConfig
 from repro.harness.parallel import run_campaign, shard_checkpoint_path
 from repro.harness.runtime import (
-    CampaignRuntime,
     CheckpointError,
     CorruptCheckpointError,
     load_checkpoint,
@@ -35,9 +34,19 @@ def contexts():
                   tech_shares={"4G": 0.4, "WiFi5": 0.6}))
 
 
+def config(ck=None, seed=SEED, every=100):
+    return CampaignConfig(seed=seed, max_tests=MAX_TESTS,
+                          checkpoint_path=ck, checkpoint_every=every)
+
+
+def resume(contexts, ck, seed=SEED, salvage=False):
+    return run_campaign(contexts, config(ck, seed=seed), resume=True,
+                        salvage=salvage)
+
+
 @pytest.fixture(scope="module")
 def baseline(contexts):
-    return CampaignRuntime().run(contexts, seed=SEED, max_tests=MAX_TESTS)
+    return run_campaign(contexts, config())
 
 
 def datasets_identical(a, b):
@@ -53,9 +62,7 @@ def datasets_identical(a, b):
 def finished_checkpoint(tmp_path, contexts, every=4):
     """Run to completion with checkpoints; return the checkpoint path."""
     ck = tmp_path / "run.ckpt"
-    CampaignRuntime(checkpoint_path=ck, checkpoint_every=every).run(
-        contexts, seed=SEED, max_tests=MAX_TESTS
-    )
+    run_campaign(contexts, config(ck, every=every))
     return ck
 
 
@@ -69,10 +76,8 @@ class TestTypedErrors:
                                                      contexts):
         ck = finished_checkpoint(tmp_path, contexts)
         truncate(ck, 0.6)
-        runtime = CampaignRuntime(checkpoint_path=ck)
         with pytest.raises(CorruptCheckpointError, match="salvage"):
-            runtime.run(contexts, seed=SEED, max_tests=MAX_TESTS,
-                        resume=True)
+            resume(contexts, ck)
 
     def test_corrupt_error_is_a_checkpoint_error(self):
         # Callers catching the historical type keep working.
@@ -85,19 +90,15 @@ class TestTypedErrors:
         payload["rows"][first] = {"attempts": "not-a-number"}
         ck.write_text(json.dumps(payload))
         with pytest.raises(CorruptCheckpointError, match="row"):
-            CampaignRuntime(checkpoint_path=ck).run(
-                contexts, seed=SEED, max_tests=MAX_TESTS, resume=True
-            )
+            resume(contexts, ck)
 
     def test_fingerprint_mismatch_stays_plain_checkpoint_error(
             self, tmp_path, contexts):
         """A checkpoint from a *different* campaign must never be
         salvaged — that would silently mix campaigns."""
         ck = finished_checkpoint(tmp_path, contexts)
-        runtime = CampaignRuntime(checkpoint_path=ck)
         with pytest.raises(CheckpointError) as excinfo:
-            runtime.run(contexts, seed=SEED + 1, max_tests=MAX_TESTS,
-                        resume=True, salvage=True)
+            resume(contexts, ck, seed=SEED + 1, salvage=True)
         assert not isinstance(excinfo.value, CorruptCheckpointError)
 
 
@@ -107,10 +108,7 @@ class TestSalvage:
             self, tmp_path, contexts, baseline, keep_fraction):
         ck = finished_checkpoint(tmp_path, contexts)
         truncate(ck, keep_fraction)
-        report = CampaignRuntime(checkpoint_path=ck).run(
-            contexts, seed=SEED, max_tests=MAX_TESTS, resume=True,
-            salvage=True,
-        )
+        report = resume(contexts, ck, salvage=True)
         assert report.n_rows == MAX_TESTS
         datasets_identical(report.dataset, baseline.dataset)
 
@@ -121,10 +119,7 @@ class TestSalvage:
         damaged = sorted(payload["rows"], key=int)[2]
         payload["rows"][damaged] = {"attempts": "not-a-number"}
         ck.write_text(json.dumps(payload))
-        report = CampaignRuntime(checkpoint_path=ck).run(
-            contexts, seed=SEED, max_tests=MAX_TESTS, resume=True,
-            salvage=True,
-        )
+        report = resume(contexts, ck, salvage=True)
         # All intact rows resumed; only the damaged one re-measured.
         assert report.resumed_rows == MAX_TESTS - 1
         datasets_identical(report.dataset, baseline.dataset)
@@ -134,10 +129,7 @@ class TestSalvage:
                                                          baseline):
         ck = tmp_path / "run.ckpt"
         ck.write_text("total garbage, not even json")
-        report = CampaignRuntime(checkpoint_path=ck).run(
-            contexts, seed=SEED, max_tests=MAX_TESTS, resume=True,
-            salvage=True,
-        )
+        report = resume(contexts, ck, salvage=True)
         assert report.resumed_rows == 0
         datasets_identical(report.dataset, baseline.dataset)
 

@@ -176,14 +176,6 @@ def test_small_steps_unchanged_by_horizon():
     assert schedules[0] == schedules[1]
 
 
-def test_implicit_default_rng_deprecated():
-    net, link = make_net()
-    with pytest.warns(DeprecationWarning, match="rng or seed"):
-        xt = attach_cross_traffic(net, link, total_rate_mbps=10.0,
-                                  n_sources=2)
-    xt.stop()
-
-
 def test_seed_derives_per_link_stream():
     from repro.netsim.crosstraffic import cross_traffic_rng
 
@@ -212,3 +204,7 @@ def test_rng_and_seed_conflict_rejected(rng):
     with pytest.raises(ValueError, match="not both"):
         attach_cross_traffic(net, link, total_rate_mbps=10.0,
                              n_sources=2, rng=rng, seed=3)
+    # Neither is rejected too: a shared default stream would give every
+    # call site the same burst schedule.
+    with pytest.raises(ValueError, match="rng or seed"):
+        attach_cross_traffic(net, link, total_rate_mbps=10.0, n_sources=2)

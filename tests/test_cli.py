@@ -205,7 +205,7 @@ def test_generate_rejects_bad_chunk_size(capsys):
 
 def test_bench_dataset_command(tmp_path, capsys):
     out = tmp_path / "BENCH_dataset.json"
-    code = main(["bench-dataset", "--rows", "3000",
+    code = main(["bench", "dataset", "--sizes", "3000",
                  "--oracle-rows", "400", "--chunk-size", "1024",
                  "--out", str(out)])
     assert code == 0
@@ -221,7 +221,7 @@ def test_bench_dataset_command(tmp_path, capsys):
 
 
 def test_bench_dataset_rejects_malformed_rows(capsys):
-    code = main(["bench-dataset", "--rows", "10,y"])
+    code = main(["bench", "dataset", "--sizes", "10,y"])
     assert code == 2
     assert "comma-separated integers" in capsys.readouterr().err
 
@@ -326,7 +326,7 @@ def test_fleet_day_rejects_unknown_domain(capsys):
 def test_bench_fleet_command(tmp_path, capsys):
     out = tmp_path / "BENCH_fleet.json"
     code = main([
-        "bench-fleet", "--users", "10000", "--hours", "2", "--seed", "7",
+        "bench", "fleet", "--users", "10000", "--hours", "2", "--seed", "7",
         "--workers", "2", "--out", str(out),
     ])
     assert code == 0
