@@ -204,7 +204,12 @@ def test_rng_and_seed_conflict_rejected(rng):
     with pytest.raises(ValueError, match="not both"):
         attach_cross_traffic(net, link, total_rate_mbps=10.0,
                              n_sources=2, rng=rng, seed=3)
-    # Neither is rejected too: a shared default stream would give every
-    # call site the same burst schedule.
+
+
+def test_implicit_default_rng_rejected():
+    # A shared default stream would give every call site the same burst
+    # schedule, so omitting both rng and seed is an error.
+    net, link = make_net()
     with pytest.raises(ValueError, match="rng or seed"):
         attach_cross_traffic(net, link, total_rate_mbps=10.0, n_sources=2)
+    assert len(net.flows) == 0
