@@ -1,6 +1,8 @@
 """Hour-of-day aggregation (Figure 10) and diurnal demand rates.
 
-Besides aggregating a measured dataset per hour, this module converts
+Besides aggregating a measured dataset per hour — one streaming fold
+(:func:`hourly_profile_stream`), which :func:`hourly_profile` runs
+over an in-memory or mapped dataset's own chunks — this module converts
 the paper's diurnal volume profile into the *forward* quantities the
 fleet-day simulator needs: expected test arrivals per second and the
 aggregate backend demand (Mbps of concurrently-running tests) at any
@@ -14,8 +16,7 @@ from typing import Dict, Iterable, Mapping, Optional
 
 import numpy as np
 
-from repro.analysis.streams import GroupReduceStream
-from repro.dataset.records import Dataset, group_reduce
+from repro.dataset.records import Dataset, GroupReduceStream
 from repro.radio.sleeping import DiurnalProfile
 
 
@@ -78,26 +79,23 @@ def expected_demand_mbps(
 
 
 def hourly_profile(dataset: Dataset, tech: str) -> HourlyProfile:
-    """Per-hour test counts and mean bandwidth for one technology."""
-    sub = dataset.where(tech=tech)
-    if len(sub) == 0:
-        raise ValueError(f"no {tech} tests in the dataset")
-    hours, means, counts = group_reduce(sub.column("hour"), sub.bandwidth)
-    return HourlyProfile(
-        counts={int(h): int(n) for h, n in zip(hours, counts)},
-        mean_bandwidth={int(h): float(m) for h, m in zip(hours, means)},
+    """Per-hour test counts and mean bandwidth for one technology: the
+    :func:`hourly_profile_stream` fold over the dataset's own chunks."""
+    return hourly_profile_stream(
+        dataset.iter_chunks(columns=["tech", "hour", "bandwidth_mbps"]), tech
     )
 
 
 def hourly_profile_stream(
     chunks: Iterable[Mapping[str, np.ndarray]], tech: str
 ) -> HourlyProfile:
-    """Single-pass :func:`hourly_profile` over column chunks.
+    """Per-hour test counts and mean bandwidth for one technology, in
+    one pass over column chunks.
 
     Feed it ``dataset.iter_chunks(columns=["tech", "hour",
-    "bandwidth_mbps"])`` — in-memory or mapped — and it produces a
-    profile bit-identical to :func:`hourly_profile` on the same rows
-    (the oracle), at O(chunk) peak memory for any chunk partition.
+    "bandwidth_mbps"])`` — in-memory or mapped — and it produces the
+    same profile, bit for bit, for any chunk partition of the same
+    rows, at O(chunk) peak memory.
     """
     stream = GroupReduceStream()
     for chunk in chunks:

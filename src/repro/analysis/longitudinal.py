@@ -15,8 +15,7 @@ from typing import Dict, Iterable, List, Mapping, Tuple
 
 import numpy as np
 
-from repro.analysis.streams import GroupReduceStream
-from repro.dataset.records import Dataset, group_reduce
+from repro.dataset.records import Dataset, GroupReduceStream
 
 #: Minimum tests a group needs in both years to be compared.
 MIN_GROUP_TESTS = 40
@@ -45,35 +44,15 @@ def matched_group_declines(
     tech: str,
     min_tests: int = MIN_GROUP_TESTS,
 ) -> List[GroupDecline]:
-    """Per-(ISP, city tier) declines between two campaigns."""
-    before = ds_before.where(tech=tech)
-    after = ds_after.where(tech=tech)
-    if len(before) == 0 or len(after) == 0:
-        raise ValueError(f"both campaigns need {tech} tests")
-
-    def group_means(ds: Dataset) -> Dict[Tuple[int, str], Tuple[float, int]]:
-        # Composite (isp, tier) keys are factorized into one integer
-        # code so the whole group-by is a single group_reduce pass.
-        isp_vals, isp_inv = np.unique(ds.column("isp"), return_inverse=True)
-        tier_vals, tier_inv = np.unique(
-            ds.column("city_tier"), return_inverse=True
-        )
-        codes, means, counts = group_reduce(
-            isp_inv * len(tier_vals) + tier_inv, ds.bandwidth
-        )
-        out: Dict[Tuple[int, str], Tuple[float, int]] = {}
-        for code, mean, n in zip(
-            codes.tolist(), means.tolist(), counts.tolist()
-        ):
-            key = (
-                int(isp_vals[code // len(tier_vals)]),
-                str(tier_vals[code % len(tier_vals)]),
-            )
-            out[key] = (float(mean), int(n))
-        return out
-
-    return _declines_from_group_means(
-        group_means(before), group_means(after), tech, min_tests
+    """Per-(ISP, city tier) declines between two campaigns: the
+    :func:`matched_group_declines_stream` fold over each dataset's own
+    chunks."""
+    columns = ["tech", "isp", "city_tier", "bandwidth_mbps"]
+    return matched_group_declines_stream(
+        ds_before.iter_chunks(columns=columns),
+        ds_after.iter_chunks(columns=columns),
+        tech,
+        min_tests,
     )
 
 
@@ -107,11 +86,9 @@ def stream_group_means(
 ) -> Tuple[int, Dict[Tuple[int, str], Tuple[float, int]]]:
     """Single-pass (ISP, city-tier) group means for one technology.
 
-    Returns ``(matching row count, {(isp, tier): (mean, n)})`` —
-    the per-group means are bit-identical to the factorized
-    ``group_reduce`` inside :func:`matched_group_declines` for any
-    chunk partition of the same rows (see
-    :mod:`repro.analysis.streams` for why).
+    Returns ``(matching row count, {(isp, tier): (mean, n)})``; the
+    per-group means are bit-identical for any chunk partition of the
+    same rows (see :mod:`repro.analysis.streams` for why).
     """
     stream = GroupReduceStream()
     total = 0
@@ -132,12 +109,12 @@ def matched_group_declines_stream(
     tech: str,
     min_tests: int = MIN_GROUP_TESTS,
 ) -> List[GroupDecline]:
-    """Streaming :func:`matched_group_declines` over column chunks.
+    """Per-(ISP, city tier) declines in one pass over each campaign's
+    column chunks.
 
     Feed it two ``iter_chunks(columns=["tech", "isp", "city_tier",
-    "bandwidth_mbps"])`` streams; produces the same
-    :class:`GroupDecline` list (and the same error messages) as the
-    in-memory oracle, at O(chunk) peak memory.
+    "bandwidth_mbps"])`` streams; the :class:`GroupDecline` list is
+    the same for any chunk partition, at O(chunk) peak memory.
     """
     n_before, means_before = stream_group_means(chunks_before, tech)
     n_after, means_after = stream_group_means(chunks_after, tech)

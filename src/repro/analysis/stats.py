@@ -1,11 +1,10 @@
 """Statistical helpers for the analysis pipeline.
 
-The classic :func:`bootstrap_ci` resamples by drawing whole index
-matrices and needs the full sample in memory.  For out-of-core
-datasets, :func:`poisson_bootstrap_ci` (re-exported from
-:mod:`repro.analysis.streams`, with :class:`PoissonBootstrapStream`
-for incremental use) computes a percentile CI in one pass over column
-chunks, bit-identical for any chunking.
+The bootstrap confidence interval is :func:`poisson_bootstrap_ci`
+(re-exported from :mod:`repro.analysis.streams`, with
+:class:`PoissonBootstrapStream` for incremental use): a percentile CI
+computed in one pass over an array or its column chunks, bit-identical
+for any chunking, so in-memory and out-of-core samples share it.
 """
 
 from __future__ import annotations
@@ -67,62 +66,6 @@ def cdf_at(values: Sequence[float], threshold: float) -> float:
     if len(arr) == 0:
         raise ValueError("cannot evaluate a CDF on an empty sample")
     return float(np.mean(arr <= threshold))
-
-
-#: Statistics the bootstrap evaluates as one ``axis=1`` reduction over
-#: the whole ``(n_resamples, n)`` resample matrix; anything else falls
-#: back to a per-resample Python loop over the same index draws.
-_AXIS_STATISTICS = frozenset(
-    {np.mean, np.median, np.sum, np.max, np.min, np.std, np.var}
-)
-
-
-def bootstrap_ci(
-    values: Sequence[float],
-    statistic=np.mean,
-    confidence: float = 0.95,
-    n_resamples: int = 1000,
-    rng: "np.random.Generator" = None,
-) -> Tuple[float, float, float]:
-    """Percentile-bootstrap confidence interval for a statistic.
-
-    Returns ``(point, low, high)``.  Used by EXPERIMENTS reporting to
-    qualify how tightly a campaign pins down each headline number.
-
-    Resample indices are drawn as whole matrices, and NumPy reductions
-    (:data:`_AXIS_STATISTICS`) are applied along ``axis=1`` in one
-    call; arbitrary callables get the loop fallback.  Both paths are
-    deterministic for a given seeded ``rng``.
-    """
-    arr = np.asarray(list(values), dtype=float)
-    if len(arr) == 0:
-        raise ValueError("cannot bootstrap an empty sample")
-    if not 0 < confidence < 1:
-        raise ValueError(f"confidence must be in (0, 1), got {confidence}")
-    if n_resamples < 10:
-        raise ValueError(f"need >= 10 resamples, got {n_resamples}")
-    rng = rng if rng is not None else np.random.default_rng(0)
-    point = float(statistic(arr))
-    n = len(arr)
-    stats = np.empty(n_resamples)
-    axis_statistic = statistic if statistic in _AXIS_STATISTICS else None
-    # Index matrices are drawn in blocks so peak memory stays bounded
-    # (~128 MB of int64 indices) however large the sample is; the
-    # block split does not change which indices a given rng produces.
-    max_rows = max(1, 16_000_000 // n)
-    done = 0
-    while done < n_resamples:
-        rows = min(max_rows, n_resamples - done)
-        samples = arr[rng.integers(0, n, size=(rows, n))]
-        if axis_statistic is not None:
-            stats[done:done + rows] = axis_statistic(samples, axis=1)
-        else:
-            for r in range(rows):
-                stats[done + r] = statistic(samples[r])
-        done += rows
-    alpha = (1.0 - confidence) / 2.0
-    low, high = np.quantile(stats, [alpha, 1.0 - alpha])
-    return point, float(low), float(high)
 
 
 def pdf_histogram(

@@ -1,4 +1,4 @@
-"""Single-pass streaming folds, bit-identical to in-memory kernels.
+"""Single-pass streaming folds: group means, means and the bootstrap.
 
 Every analysis the paper runs at corpus scale — per-group means
 (§3.1's (ISP, city-tier) decline table), hourly profiles (§5.2), and
@@ -6,42 +6,43 @@ bootstrap confidence intervals — reduces to a handful of folds over
 the rows.  This module provides those folds as **chunk streams**: feed
 them :meth:`Dataset.iter_chunks` output (in-memory slices or the
 out-of-core mapped reader's positioned reads — the fold cannot tell)
-and peak RSS stays at O(chunk) however many rows go by.
+and peak RSS stays at O(chunk) however many rows go by.  An in-memory
+analysis runs the same fold over the dataset's own chunks, so each
+kernel has one implementation.
 
-The contract, and why the results are *bit*-identical rather than
-merely close:
+Why the results are *bit*-identical for any chunk partition, rather
+than merely close:
 
-* The in-memory oracles sum each group with ``np.bincount``, which
-  accumulates weights **sequentially in row order**.  The streams
-  accumulate with ``np.add.at`` onto persistent accumulators —
-  ``np.add.at`` is unbuffered, so it applies the same additions in
-  the same row order, one chunk at a time.  A left fold split at any
-  chunk boundary is the same left fold, so the final IEEE-754 sums
-  match to the last bit for **any** chunk partition of the same rows.
-  (A per-chunk-partials-then-combine scheme would NOT have this
-  property: float addition is not associative.)
-* Counts are exact integers; means are then the same ``sums /
-  counts`` division in both implementations.
+* Sums accumulate with ``np.add.at`` onto persistent accumulators.
+  ``np.add.at`` is unbuffered, so it applies the additions in row
+  order, one chunk at a time.  A left fold split at any chunk boundary
+  is the same left fold, so the final IEEE-754 sums match to the last
+  bit for **any** chunk partition of the same rows.  (A
+  per-chunk-partials-then-combine scheme would NOT have this
+  property: float addition is not associative.)  The group-by fold,
+  :class:`~repro.dataset.records.GroupReduceStream`, lives with the
+  dataset, whose ``group_mean_bandwidth`` runs it; it is re-exported
+  here.
+* Counts are exact integers; means are then one ``sums / counts``
+  division.
 * The bootstrap cannot replay an rng-stateful index draw chunkwise,
-  so the streaming variant is a **Poisson bootstrap** (per-row
-  multiplicities ~ Poisson(1)) on the counter-based Philox substream
-  fabric of PR 4: each draw is a pure function of ``(seed,
-  SLOT_BOOTSTRAP, word index)``, so any chunking of the rows reads
-  the same words.  Its in-memory oracle (``mode="oracle"``) is an
-  independently-structured implementation over the same draws.
+  so it is a **Poisson bootstrap** (per-row multiplicities ~
+  Poisson(1)) on the counter-based Philox substream fabric: each draw
+  is a pure function of ``(seed, SLOT_BOOTSTRAP, word index)``, so any
+  chunking of the rows reads the same words.
 
-Note these folds use *sequential-sum* semantics, matching
-``group_reduce``.  ``np.mean`` uses pairwise summation and will
-differ in the last ulps — compare streams against the bincount-based
-oracles, not against ``np.mean``.
+Note these folds use *sequential-sum* semantics.  ``np.mean`` uses
+pairwise summation and will differ in the last ulps — compare the
+folds against a row-order sequential sum, not against ``np.mean``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Tuple, Union
+from typing import Iterable, Tuple, Union
 
 import numpy as np
 
+from repro.dataset.records import GroupReduceStream
 from repro.dataset.substreams import SLOT_BOOTSTRAP, uniform_block
 
 __all__ = [
@@ -53,126 +54,8 @@ __all__ = [
 ]
 
 
-class GroupReduceStream:
-    """Streaming ``group_reduce``: per-group sequential sums + counts.
-
-    >>> stream = GroupReduceStream()
-    >>> for chunk in dataset.iter_chunks():            # doctest: +SKIP
-    ...     stream.update(chunk["hour"], chunk["bandwidth_mbps"])
-    >>> keys, means, counts = stream.result()          # doctest: +SKIP
-
-    ``result()`` equals ``group_reduce(all_keys, all_values)`` bit for
-    bit (keys as python scalars rather than an array), for any chunk
-    partition of the same row sequence.
-    """
-
-    def __init__(self) -> None:
-        self._slots: Dict = {}
-        self._sums = np.zeros(64, dtype=np.float64)
-        self._counts = np.zeros(64, dtype=np.int64)
-
-    def _slot(self, key) -> int:
-        slot = self._slots.get(key)
-        if slot is None:
-            slot = len(self._slots)
-            self._slots[key] = slot
-        return slot
-
-    def _grow(self) -> None:
-        needed = len(self._slots)
-        if needed <= len(self._sums):
-            return
-        size = len(self._sums)
-        while size < needed:
-            size *= 2
-        sums = np.zeros(size, dtype=np.float64)
-        counts = np.zeros(size, dtype=np.int64)
-        sums[: len(self._sums)] = self._sums
-        counts[: len(self._counts)] = self._counts
-        self._sums, self._counts = sums, counts
-
-    def update(self, keys: np.ndarray, values: np.ndarray) -> None:
-        """Fold one chunk of (key, value) rows."""
-        keys = np.asarray(keys)
-        values = np.asarray(values, dtype=np.float64)
-        if len(keys) != len(values):
-            raise ValueError(
-                f"keys length {len(keys)} != values length {len(values)}"
-            )
-        if len(keys) == 0:
-            return
-        unique, inverse = np.unique(keys, return_inverse=True)
-        slots = np.fromiter(
-            (self._slot(k) for k in unique.tolist()),
-            dtype=np.intp,
-            count=len(unique),
-        )
-        self._grow()
-        rows = slots[inverse.reshape(-1)]
-        np.add.at(self._sums, rows, values)
-        np.add.at(self._counts, rows, 1)
-
-    def update_pairs(
-        self,
-        first: np.ndarray,
-        second: np.ndarray,
-        values: np.ndarray,
-    ) -> None:
-        """Fold one chunk keyed by ``(first, second)`` tuples — the
-        (ISP, city-tier) factorisation of the longitudinal analysis."""
-        first = np.asarray(first)
-        second = np.asarray(second)
-        values = np.asarray(values, dtype=np.float64)
-        if not (len(first) == len(second) == len(values)):
-            raise ValueError(
-                f"column lengths disagree: {len(first)}, {len(second)}, "
-                f"{len(values)}"
-            )
-        if len(values) == 0:
-            return
-        ua, ia = np.unique(first, return_inverse=True)
-        ub, ib = np.unique(second, return_inverse=True)
-        nb = len(ub)
-        codes = ia.reshape(-1) * nb + ib.reshape(-1)
-        code_vals, code_inv = np.unique(codes, return_inverse=True)
-        la, lb = ua.tolist(), ub.tolist()
-        slots = np.fromiter(
-            (
-                self._slot((la[c // nb], lb[c % nb]))
-                for c in code_vals.tolist()
-            ),
-            dtype=np.intp,
-            count=len(code_vals),
-        )
-        self._grow()
-        rows = slots[code_inv.reshape(-1)]
-        np.add.at(self._sums, rows, values)
-        np.add.at(self._counts, rows, 1)
-
-    def result(self) -> Tuple[List, np.ndarray, np.ndarray]:
-        """``(sorted keys, means, counts)`` — the ``group_reduce``
-        triple, with keys as a python list."""
-        if not self._slots:
-            return [], np.empty(0), np.empty(0, dtype=np.int64)
-        keys = sorted(self._slots)
-        idx = np.fromiter(
-            (self._slots[k] for k in keys), dtype=np.intp, count=len(keys)
-        )
-        sums = self._sums[idx]
-        counts = self._counts[idx]
-        return keys, sums / counts, counts.copy()
-
-    def result_dict(self) -> Dict:
-        """``{key: (mean, count)}`` with python floats/ints."""
-        keys, means, counts = self.result()
-        return {
-            key: (float(mean), int(count))
-            for key, mean, count in zip(keys, means.tolist(), counts.tolist())
-        }
-
-
 class MeanStream:
-    """Streaming sequential-sum mean (one-group group_reduce)."""
+    """Streaming sequential-sum mean (a one-group group-by fold)."""
 
     def __init__(self) -> None:
         self._acc = np.zeros(1, dtype=np.float64)
@@ -223,13 +106,6 @@ def _poisson_cdf_table() -> np.ndarray:
 _POISSON_CDF = _poisson_cdf_table()
 
 
-def _validate_bootstrap(confidence: float, n_resamples: int) -> None:
-    if not 0 < confidence < 1:
-        raise ValueError(f"confidence must be in (0, 1), got {confidence}")
-    if n_resamples < 10:
-        raise ValueError(f"need >= 10 resamples, got {n_resamples}")
-
-
 class PoissonBootstrapStream:
     """Streaming percentile bootstrap over chunked values.
 
@@ -260,7 +136,12 @@ class PoissonBootstrapStream:
         confidence: float = 0.95,
         statistic: str = "mean",
     ) -> None:
-        _validate_bootstrap(confidence, n_resamples)
+        if not 0 < confidence < 1:
+            raise ValueError(
+                f"confidence must be in (0, 1), got {confidence}"
+            )
+        if n_resamples < 10:
+            raise ValueError(f"need >= 10 resamples, got {n_resamples}")
         if statistic not in ("mean", "sum"):
             raise ValueError(
                 f"statistic must be 'mean' or 'sum', got {statistic!r}"
@@ -293,34 +174,45 @@ class PoissonBootstrapStream:
         if full < len(values):
             self._pending = values[full:].copy()
 
-    def _fold(self, rows: np.ndarray) -> None:
+    def _resample_sums(self, block: int, rows: np.ndarray):
+        """Per-resample ``(sum, count)`` of block ``block``'s rows."""
         blen = len(rows)
         words = uniform_block(
             self.seed,
             SLOT_BOOTSTRAP,
-            self._block * self.n_resamples * BOOTSTRAP_BLOCK_ROWS,
+            block * self.n_resamples * BOOTSTRAP_BLOCK_ROWS,
             self.n_resamples * blen,
         ).reshape(self.n_resamples, blen)
         mult = np.searchsorted(_POISSON_CDF, words, side="right")
-        self._sums += (mult * rows).sum(axis=1)
-        self._ns += mult.sum(axis=1)
+        return (mult * rows).sum(axis=1), mult.sum(axis=1)
+
+    def _fold(self, rows: np.ndarray) -> None:
+        sums, ns = self._resample_sums(self._block, rows)
+        self._sums += sums
+        self._ns += ns
         self._block += 1
 
     def result(self) -> Tuple[float, float, float]:
-        """``(point, low, high)`` like :func:`bootstrap_ci`."""
-        if len(self._pending):
-            self._fold(self._pending)
-            self._pending = np.empty(0, dtype=np.float64)
+        """``(point, low, high)`` of everything folded so far.
+
+        The partial tail block is folded into copies, so calling this
+        mid-stream leaves the stream exactly as it was: rows fed later
+        still read the Philox words of their absolute positions.
+        """
         if self._point.count == 0:
             raise ValueError("cannot bootstrap an empty sample")
+        sums, ns = self._sums, self._ns
+        if len(self._pending):
+            tail_sums, tail_ns = self._resample_sums(
+                self._block, self._pending
+            )
+            sums, ns = sums + tail_sums, ns + tail_ns
         if self.statistic == "mean":
             point = self._point.result()
-            stats = np.where(
-                self._ns > 0, self._sums / np.maximum(self._ns, 1), point
-            )
+            stats = np.where(ns > 0, sums / np.maximum(ns, 1), point)
         else:
             point = self._point.total
-            stats = self._sums.copy()
+            stats = sums
         alpha = (1.0 - self.confidence) / 2.0
         low, high = np.quantile(stats, [alpha, 1.0 - alpha])
         return float(point), float(low), float(high)
@@ -332,70 +224,16 @@ def poisson_bootstrap_ci(
     n_resamples: int = 1000,
     confidence: float = 0.95,
     statistic: str = "mean",
-    mode: str = "stream",
 ) -> Tuple[float, float, float]:
-    """Poisson-bootstrap CI over an array or an iterable of chunks.
-
-    ``mode="stream"`` runs :class:`PoissonBootstrapStream`;
-    ``mode="oracle"`` is an independently-structured in-memory
-    implementation over the same Philox draws (blocks outer, resamples
-    inner, 1-D arithmetic) used by the test suite and the bench
-    identity gate to pin the stream down bit for bit.
-    """
-    if mode not in ("stream", "oracle"):
-        raise ValueError(f"mode must be 'stream' or 'oracle', got {mode!r}")
-    if isinstance(values, np.ndarray):
-        chunks: Iterable[np.ndarray] = [values]
-    else:
-        chunks = values
-    if mode == "stream":
-        stream = PoissonBootstrapStream(
-            seed,
-            n_resamples=n_resamples,
-            confidence=confidence,
-            statistic=statistic,
-        )
-        for chunk in chunks:
-            stream.update(chunk)
-        return stream.result()
-
-    _validate_bootstrap(confidence, n_resamples)
-    if statistic not in ("mean", "sum"):
-        raise ValueError(
-            f"statistic must be 'mean' or 'sum', got {statistic!r}"
-        )
-    arr = np.concatenate(
-        [np.asarray(c, dtype=np.float64) for c in chunks]
-    ) if not isinstance(values, np.ndarray) else np.asarray(
-        values, dtype=np.float64
+    """Poisson-bootstrap CI over an array or an iterable of chunks:
+    one :class:`PoissonBootstrapStream` pass."""
+    stream = PoissonBootstrapStream(
+        seed,
+        n_resamples=n_resamples,
+        confidence=confidence,
+        statistic=statistic,
     )
-    n = len(arr)
-    if n == 0:
-        raise ValueError("cannot bootstrap an empty sample")
-    # Point estimate with the stream's sequential-sum semantics.
-    acc = np.zeros(1, dtype=np.float64)
-    np.add.at(acc, np.zeros(n, dtype=np.intp), arr)
-    point = float(acc[0] / n) if statistic == "mean" else float(acc[0])
-    sums = np.zeros(n_resamples, dtype=np.float64)
-    ns = np.zeros(n_resamples, dtype=np.int64)
-    seed = int(seed)
-    for block, start in enumerate(range(0, n, BOOTSTRAP_BLOCK_ROWS)):
-        rows = arr[start:start + BOOTSTRAP_BLOCK_ROWS]
-        blen = len(rows)
-        words = uniform_block(
-            seed,
-            SLOT_BOOTSTRAP,
-            block * n_resamples * BOOTSTRAP_BLOCK_ROWS,
-            n_resamples * blen,
-        ).reshape(n_resamples, blen)
-        for r in range(n_resamples):
-            mult_r = np.searchsorted(_POISSON_CDF, words[r], side="right")
-            sums[r] += (mult_r * rows).sum()
-            ns[r] += int(mult_r.sum())
-    if statistic == "mean":
-        stats = np.where(ns > 0, sums / np.maximum(ns, 1), point)
-    else:
-        stats = sums
-    alpha = (1.0 - confidence) / 2.0
-    low, high = np.quantile(stats, [alpha, 1.0 - alpha])
-    return float(point), float(low), float(high)
+    chunks = [values] if isinstance(values, np.ndarray) else values
+    for chunk in chunks:
+        stream.update(chunk)
+    return stream.result()

@@ -105,6 +105,9 @@ def cmd_generate(args: argparse.Namespace) -> int:
     if args.store_month and not args.store:
         print("error: --store-month needs --store", file=sys.stderr)
         return 2
+    if args.format == "npd" and not (args.out or args.store):
+        print("error: --format npd needs --out or --store", file=sys.stderr)
+        return 2
     config = GenerationConfig(
         year=args.year, n_tests=args.n_tests, seed=args.seed,
         home_path=args.home_path,
@@ -582,7 +585,7 @@ def _cmd_bench_ooc(args: argparse.Namespace) -> int:
     gate = "<" if summary["within_ceiling"] else ">="
     print(f"gated peak RSS {summary['peak_rss_mb']:.1f} MiB "
           f"{gate} ceiling {summary['rss_ceiling_mb']:.0f} MiB")
-    print(f"streaming kernels byte-identical to oracles: "
+    print(f"out-of-core reads and folds byte-identical to in-memory: "
           f"{summary['all_byte_identical']}")
     if args.out:
         print(f"wrote {args.out}")
@@ -590,8 +593,8 @@ def _cmd_bench_ooc(args: argparse.Namespace) -> int:
         failed = sorted(
             name for name, ok in summary["identity"].items() if not ok
         )
-        print(f"error: streaming kernels diverged from their oracles: "
-              f"{', '.join(failed)}", file=sys.stderr)
+        print(f"error: out-of-core reads or folds diverged from "
+              f"in-memory: {', '.join(failed)}", file=sys.stderr)
         return 1
     if not summary["within_ceiling"]:
         print(f"error: peak RSS {summary['peak_rss_mb']:.1f} MiB breaches "

@@ -24,32 +24,20 @@ Execution model (the paper-scale dataset engine)
 Every random draw a row makes is a pure function of
 ``(config.seed, slot, test_id)`` through the counter-based substreams
 of :mod:`repro.dataset.substreams` — no draw depends on any other
-row.  :func:`generate_campaign` therefore has two byte-identical
-execution paths:
-
-* ``mode='vectorized'`` (and ``'auto'``, the default): a chunked
-  streaming driver that materialises ``chunk_size`` rows at a time
-  through batched NumPy kernels (:mod:`repro.dataset.kernels`),
-  keeping peak working memory bounded by the chunk, independent of
-  campaign size;
-* ``mode='oracle'``: the per-row reference oracle — a Python loop
-  that generates one record at a time (per-row substream reads, dict
-  merges into a column buffer), preserved as the semantic baseline
-  the fast path is asserted against.
-
-Because rows are independent, chunk size and chunk order cannot change
-the output, which is also what lets the engine fan out across the
-PR 3 worker pool later.
+row.  :func:`generate_campaign` materialises ``chunk_size`` rows at a
+time through batched NumPy kernels (:mod:`repro.dataset.kernels`),
+keeping peak working memory bounded by the chunk, independent of
+campaign size.  Because rows are independent, chunk size and chunk
+order cannot change the output: ``chunk_size=1`` is the per-row
+reference the batched chunks are asserted against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 import numpy as np
-
-from repro.execmode import ExecutionMode
 
 from repro.dataset import substreams as ss
 from repro.dataset.cities import (
@@ -76,7 +64,7 @@ from repro.dataset.kernels import (
     nr_user_throughput,
     wifi_link_mbps,
 )
-from repro.dataset.records import Dataset, SCHEMA
+from repro.dataset.records import Dataset
 from repro.radio.bands import lte_band, nr_band
 from repro.radio.refarming import REFARMING_2021, RefarmingPlan
 from repro.radio.rss import (
@@ -327,28 +315,6 @@ class CampaignConfig:
             self.refarming = REFARMING_2021
 
 
-class _ColumnBuffer:
-    """Accumulates one record at a time into per-column lists."""
-
-    def __init__(self) -> None:
-        self.columns: Dict[str, List] = {name: [] for name in SCHEMA}
-
-    def append(self, **values) -> None:
-        if set(values) != set(SCHEMA):
-            missing = set(SCHEMA) - set(values)
-            extra = set(values) - set(SCHEMA)
-            raise ValueError(f"bad record: missing={missing}, extra={extra}")
-        for name, value in values.items():
-            self.columns[name].append(value)
-
-    def to_dataset(self) -> Dataset:
-        arrays = {
-            name: np.array(col, dtype=SCHEMA[name])
-            for name, col in self.columns.items()
-        }
-        return Dataset(arrays)
-
-
 # -- campaign lookup tables --------------------------------------------
 
 
@@ -356,8 +322,7 @@ class _CampaignTables:
     """Every config-dependent lookup the row kernels index into.
 
     Built once per campaign; holds no per-row state, so one instance
-    serves the chunked driver, the per-row oracle, and (later) any
-    number of shard workers.
+    serves every chunk, whatever its size.
     """
 
     _WIFI_TECHS = ("WiFi4", "WiFi5", "WiFi6")
@@ -964,37 +929,22 @@ def iter_campaign_chunks(
 
 
 def generate_campaign(
-    config: CampaignConfig,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
-    mode: Optional["ExecutionMode"] = None,
+    config: CampaignConfig, chunk_size: int = DEFAULT_CHUNK_SIZE
 ) -> Dataset:
     """Run a campaign and return its dataset.
 
     Deterministic given ``config``: two calls with the same config
     yield identical datasets, and — because every draw is a pure
     function of ``(config.seed, slot, test_id)`` — the result is
-    byte-identical across execution modes and any ``chunk_size``.
+    byte-identical for any ``chunk_size``.
 
     Parameters
     ----------
-    mode:
-        :class:`~repro.execmode.ExecutionMode`: ``vectorized`` (and
-        ``auto``, the default — generation has no per-row fallback
-        cases) runs the chunked NumPy engine; ``oracle`` runs the
-        per-row reference loop (two to three orders of magnitude
-        slower — for verification, not production).
     chunk_size:
-        Rows materialised per step of the vectorized driver; bounds
-        peak working memory without affecting the output.
+        Rows materialised per chunk; bounds peak working memory
+        without affecting the output.  ``1`` generates
+        row by row — the slow per-row reference, for verification.
     """
-    if ExecutionMode.coerce(mode) is not ExecutionMode.ORACLE:
-        return Dataset.from_chunks(
-            list(iter_campaign_chunks(config, chunk_size=chunk_size))
-        )
-
-    tables = _CampaignTables(config)
-    buffer = _ColumnBuffer()
-    for test_id in range(config.n_tests):
-        row = _generate_chunk(tables, test_id, test_id + 1)
-        buffer.append(**{name: value[0] for name, value in row.items()})
-    return buffer.to_dataset()
+    return Dataset.from_chunks(
+        list(iter_campaign_chunks(config, chunk_size=chunk_size))
+    )

@@ -3,9 +3,9 @@
 Array re-implementations of the scalar cell models
 (:mod:`repro.radio.lte`, :mod:`repro.radio.nr`,
 :mod:`repro.radio.shannon`) and the WiFi link model
-(:mod:`repro.wifi.standards`), used by **both** the chunked fast path
-and the per-row oracle of :mod:`repro.dataset.generator` — sharing one
-elementwise implementation is what makes the two paths byte-identical.
+(:mod:`repro.wifi.standards`), used by every chunk of
+:mod:`repro.dataset.generator` — elementwise, so a one-row chunk and a
+wide one compute byte-identical rows.
 
 The scalar classes remain the readable reference; unit tests pin each
 kernel against them elementwise.

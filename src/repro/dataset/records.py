@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterator, List, Mapping, Optional, Union
+from typing import Dict, Iterator, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
@@ -55,27 +55,128 @@ SCHEMA: Dict[str, object] = {
 }
 
 
-def group_reduce(keys: np.ndarray, values: np.ndarray):
-    """Per-group count and mean of ``values`` in one pass.
+class GroupReduceStream:
+    """Per-group count and mean as a fold over row chunks.
 
-    Returns ``(unique_keys, means, counts)`` with groups in sorted key
-    order.  One ``np.unique(return_inverse=True)`` plus two
-    ``np.bincount`` passes — O(n + groups), replacing the
-    O(n · groups) scan-per-distinct-value pattern that made per-band
-    and per-hour aggregation the bottleneck of paper-scale analysis.
+    >>> stream = GroupReduceStream()
+    >>> for chunk in dataset.iter_chunks():            # doctest: +SKIP
+    ...     stream.update(chunk["hour"], chunk["bandwidth_mbps"])
+    >>> keys, means, counts = stream.result()          # doctest: +SKIP
+
+    Each group's sum accumulates through an unbuffered ``np.add.at``
+    onto a persistent accumulator — sequentially, in row order — so
+    ``result()`` is bit-identical for any chunk partition of the same
+    row sequence, one whole-dataset chunk included.  (Per-chunk
+    partial sums combined at the end would not be: float addition is
+    not associative.)  Every per-group mean in the package is this
+    fold: :meth:`Dataset.group_mean_bandwidth`, the hourly profile and
+    the longitudinal matched groups.
     """
-    keys = np.asarray(keys)
-    values = np.asarray(values, dtype=np.float64)
-    if len(keys) != len(values):
-        raise ValueError(
-            f"keys length {len(keys)} != values length {len(values)}"
+
+    def __init__(self) -> None:
+        self._slots: Dict = {}
+        self._sums = np.zeros(64, dtype=np.float64)
+        self._counts = np.zeros(64, dtype=np.int64)
+
+    def _slot(self, key) -> int:
+        slot = self._slots.get(key)
+        if slot is None:
+            slot = len(self._slots)
+            self._slots[key] = slot
+        return slot
+
+    def _grow(self) -> None:
+        needed = len(self._slots)
+        if needed <= len(self._sums):
+            return
+        size = len(self._sums)
+        while size < needed:
+            size *= 2
+        sums = np.zeros(size, dtype=np.float64)
+        counts = np.zeros(size, dtype=np.int64)
+        sums[: len(self._sums)] = self._sums
+        counts[: len(self._counts)] = self._counts
+        self._sums, self._counts = sums, counts
+
+    def update(self, keys: np.ndarray, values: np.ndarray) -> None:
+        """Fold one chunk of (key, value) rows."""
+        keys = np.asarray(keys)
+        values = np.asarray(values, dtype=np.float64)
+        if len(keys) != len(values):
+            raise ValueError(
+                f"keys length {len(keys)} != values length {len(values)}"
+            )
+        if len(keys) == 0:
+            return
+        unique, inverse = np.unique(keys, return_inverse=True)
+        slots = np.fromiter(
+            (self._slot(k) for k in unique.tolist()),
+            dtype=np.intp,
+            count=len(unique),
         )
-    if len(keys) == 0:
-        return keys, np.empty(0), np.empty(0, dtype=np.int64)
-    unique, inverse = np.unique(keys, return_inverse=True)
-    counts = np.bincount(inverse, minlength=len(unique))
-    sums = np.bincount(inverse, weights=values, minlength=len(unique))
-    return unique, sums / counts, counts.astype(np.int64)
+        self._grow()
+        rows = slots[inverse.reshape(-1)]
+        np.add.at(self._sums, rows, values)
+        np.add.at(self._counts, rows, 1)
+
+    def update_pairs(
+        self,
+        first: np.ndarray,
+        second: np.ndarray,
+        values: np.ndarray,
+    ) -> None:
+        """Fold one chunk keyed by ``(first, second)`` tuples — the
+        (ISP, city-tier) factorisation of the longitudinal analysis."""
+        first = np.asarray(first)
+        second = np.asarray(second)
+        values = np.asarray(values, dtype=np.float64)
+        if not (len(first) == len(second) == len(values)):
+            raise ValueError(
+                f"column lengths disagree: {len(first)}, {len(second)}, "
+                f"{len(values)}"
+            )
+        if len(values) == 0:
+            return
+        ua, ia = np.unique(first, return_inverse=True)
+        ub, ib = np.unique(second, return_inverse=True)
+        nb = len(ub)
+        codes = ia.reshape(-1) * nb + ib.reshape(-1)
+        code_vals, code_inv = np.unique(codes, return_inverse=True)
+        la, lb = ua.tolist(), ub.tolist()
+        slots = np.fromiter(
+            (
+                self._slot((la[c // nb], lb[c % nb]))
+                for c in code_vals.tolist()
+            ),
+            dtype=np.intp,
+            count=len(code_vals),
+        )
+        self._grow()
+        rows = slots[code_inv.reshape(-1)]
+        np.add.at(self._sums, rows, values)
+        np.add.at(self._counts, rows, 1)
+
+    def result(self) -> Tuple[List, np.ndarray, np.ndarray]:
+        """``(sorted keys, means, counts)``, with keys as a python
+        list."""
+        if not self._slots:
+            return [], np.empty(0), np.empty(0, dtype=np.int64)
+        keys = sorted(self._slots)
+        idx = np.fromiter(
+            (self._slots[k] for k in keys), dtype=np.intp, count=len(keys)
+        )
+        sums = self._sums[idx]
+        counts = self._counts[idx]
+        return keys, sums / counts, counts.copy()
+
+    def result_dict(self) -> Dict:
+        """``{key: (mean, count)}`` with python floats/ints."""
+        keys, means, counts = self.result()
+        return {
+            key: (float(mean), int(count))
+            for key, mean, count in zip(keys, means.tolist(), counts.tolist())
+        }
+
 
 
 @dataclass(frozen=True)
@@ -268,8 +369,11 @@ class Dataset:
 
     def group_mean_bandwidth(self, key: str) -> Dict:
         """``{group value: mean bandwidth}`` over a grouping column."""
-        values, means, _ = group_reduce(self.column(key), self.bandwidth)
-        return {v: float(m) for v, m in zip(values.tolist(), means.tolist())}
+        stream = GroupReduceStream()
+        for chunk in self.iter_chunks(columns=[key, "bandwidth_mbps"]):
+            stream.update(chunk[key], chunk["bandwidth_mbps"])
+        keys, means, _ = stream.result()
+        return dict(zip(keys, means.tolist()))
 
     def group_counts(self, key: str) -> Dict:
         """``{group value: row count}`` over a grouping column."""

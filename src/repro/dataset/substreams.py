@@ -3,8 +3,8 @@
 The paper-scale generator needs every row's randomness to be a **pure
 function of ``(seed, test_id)``** so that
 
-* a chunked/vectorized pass, a per-row oracle pass, and any future
-  sharded pass all produce bit-identical datasets, and
+* a chunked pass at any chunk size (down to one row) and any sharded
+  pass all produce bit-identical datasets, and
 * chunk size and chunk order cannot change the result by construction.
 
 The contract: each *kind* of draw a row makes (its technology pick,
@@ -14,18 +14,15 @@ Slot ``s`` under root seed ``seed`` names one Philox counter stream
 that slot is **word ``i``** of that stream.  :func:`uniform_block`
 materialises any contiguous window of a slot's words in one vectorized
 call (Philox is counter-based: ``advance`` jumps to the window start
-in O(1)), and the per-row oracle reads single words from the same
-streams — the two paths consume literally the same bits.
+in O(1)), so a one-row window reads the very word a wide window
+holds at that position.
 
 Non-uniform draws are derived from those uniforms through
 deterministic inverse-CDF transforms (:func:`ppf_normal`,
 :func:`ppf_beta`, :func:`pick`, ...).  Each transform consumes exactly
 one uniform, so the word position of every draw is independent of any
 other row **and** of which branch (4G/5G/3G/WiFi) the row takes.
-SciPy provides the exact inverse CDFs when available; pure-NumPy
-fallbacks keep the module importable without it.  Both execution paths
-always share whichever implementation was selected at import time, so
-byte-identity between them never depends on SciPy.
+SciPy provides the exact inverse CDFs.
 """
 
 from __future__ import annotations
@@ -36,24 +33,17 @@ import numpy as np
 
 # SciPy is imported lazily on the first inverse-CDF call: importing
 # scipy.special costs ~30 MiB of RSS, which matters to out-of-core
-# consumers whose whole budget is a flat ceiling.  The selection is
-# still made exactly once per process and shared by both execution
-# paths, so byte-identity between them never depends on *when* the
-# import happened.
-_SPECIAL_UNRESOLVED = object()
-_special = _SPECIAL_UNRESOLVED
+# consumers whose whole budget is a flat ceiling.
+_special = None
 
 
 def _resolve_special():
-    """scipy.special, imported on first use (``None`` when absent)."""
+    """scipy.special, imported on first use."""
     global _special
-    if _special is _SPECIAL_UNRESOLVED:
-        try:  # pragma: no cover - exercised indirectly on both branches
-            from scipy import special
+    if _special is None:
+        from scipy import special
 
-            _special = special
-        except ImportError:  # pragma: no cover
-            _special = None
+        _special = special
     return _special
 
 #: Philox words per counter increment (Philox4x64 emits 4 words).
@@ -109,8 +99,8 @@ def uniform_block(seed: int, slot: int, start: int, count: int) -> np.ndarray:
 
     Pure function of ``(seed, slot, start, count)``;
     ``uniform_block(s, k, 0, n)[i] == uniform_block(s, k, i, 1)[0]``
-    for every ``i < n`` — the invariance the chunked driver and the
-    per-row oracle both rely on.
+    for every ``i < n`` — the invariance that makes a campaign's output
+    independent of its chunk size.
     """
     if start < 0 or count < 0:
         raise ValueError(f"need start >= 0 and count >= 0, got {start}, {count}")
@@ -126,8 +116,8 @@ def uniform_block(seed: int, slot: int, start: int, count: int) -> np.ndarray:
 
 # -- inverse-CDF transforms --------------------------------------------
 #
-# Every transform is elementwise and NumPy-vectorized; the oracle calls
-# them on length-1 arrays, the fast path on chunk-sized ones.  NumPy's
+# Every transform is elementwise and NumPy-vectorized; a one-row chunk
+# calls them on length-1 arrays, a wide chunk on long ones.  NumPy's
 # ufunc loops are bit-identical across array sizes, which the substream
 # contract tests assert end to end.
 
@@ -142,128 +132,11 @@ def _clip_u(u: np.ndarray) -> np.ndarray:
 
 
 def _ndtri(u: np.ndarray) -> np.ndarray:
-    special = _resolve_special()
-    if special is not None:
-        return special.ndtri(u)
-    return _ndtri_fallback(u)  # pragma: no cover - container ships scipy
+    return _resolve_special().ndtri(u)
 
 
 def _betaincinv(a, b, u):
-    special = _resolve_special()
-    if special is not None:
-        return special.betaincinv(a, b, u)
-    return _betaincinv_fallback(a, b, u)  # pragma: no cover
-
-
-def _ndtri_fallback(u: np.ndarray) -> np.ndarray:  # pragma: no cover
-    """Acklam's rational approximation of the normal inverse CDF.
-
-    ~1e-9 relative accuracy — far below the sampling noise of any
-    campaign statistic; used only when SciPy is absent and then by
-    *both* execution paths, preserving byte-identity.
-    """
-    u = np.asarray(u, dtype=np.float64)
-    a = (-3.969683028665376e+01, 2.209460984245205e+02,
-         -2.759285104469687e+02, 1.383577518672690e+02,
-         -3.066479806614716e+01, 2.506628277459239e+00)
-    b = (-5.447609879822406e+01, 1.615858368580409e+02,
-         -1.556989798598866e+02, 6.680131188771972e+01,
-         -1.328068155288572e+01)
-    c = (-7.784894002430293e-03, -3.223964580411365e-01,
-         -2.400758277161838e+00, -2.549732539343734e+00,
-         4.374664141464968e+00, 2.938163982698783e+00)
-    d = (7.784695709041462e-03, 3.224671290700398e-01,
-         2.445134137142996e+00, 3.754408661907416e+00)
-    p_low = 0.02425
-    out = np.empty_like(u)
-    lo = u < p_low
-    hi = u > 1.0 - p_low
-    mid = ~(lo | hi)
-    if np.any(lo):
-        q = np.sqrt(-2.0 * np.log(u[lo]))
-        out[lo] = (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q
-                    + c[4]) * q + c[5]) / \
-                  ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
-    if np.any(hi):
-        q = np.sqrt(-2.0 * np.log(1.0 - u[hi]))
-        out[hi] = -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q
-                     + c[4]) * q + c[5]) / \
-                  ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
-    if np.any(mid):
-        q = u[mid] - 0.5
-        r = q * q
-        out[mid] = (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r
-                     + a[4]) * r + a[5]) * q / \
-                   (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r
-                     + b[4]) * r + 1.0)
-    return out
-
-def _betainc(a, b, x):  # pragma: no cover
-    """Regularized incomplete beta via Lentz's continued fraction."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    a, b, x = np.broadcast_arrays(a, b, x)
-
-    def _cf(a_, b_, x_):
-        tiny = 1e-300
-        qab = a_ + b_
-        qap = a_ + 1.0
-        qam = a_ - 1.0
-        c = np.ones_like(x_)
-        d = 1.0 - qab * x_ / qap
-        d = np.where(np.abs(d) < tiny, tiny, d)
-        d = 1.0 / d
-        h = d.copy()
-        for m in range(1, 200):
-            m2 = 2 * m
-            aa = m * (b_ - m) * x_ / ((qam + m2) * (a_ + m2))
-            d = 1.0 + aa * d
-            d = np.where(np.abs(d) < tiny, tiny, d)
-            c = 1.0 + aa / c
-            c = np.where(np.abs(c) < tiny, tiny, c)
-            d = 1.0 / d
-            h = h * d * c
-            aa = -(a_ + m) * (qab + m) * x_ / ((a_ + m2) * (qap + m2))
-            d = 1.0 + aa * d
-            d = np.where(np.abs(d) < tiny, tiny, d)
-            c = 1.0 + aa / c
-            c = np.where(np.abs(c) < tiny, tiny, c)
-            d = 1.0 / d
-            h = h * d * c
-        return h
-
-    from math import lgamma
-
-    lbeta = (np.vectorize(lgamma)(a) + np.vectorize(lgamma)(b)
-             - np.vectorize(lgamma)(a + b))
-    use_direct = x < (a + 1.0) / (a + b + 2.0)
-    xx = np.where(use_direct, x, 1.0 - x)
-    aa = np.where(use_direct, a, b)
-    bb = np.where(use_direct, b, a)
-    cf = _cf(aa, bb, xx)
-    front = np.exp(aa * np.log(np.maximum(xx, 1e-300))
-                   + bb * np.log(np.maximum(1.0 - xx, 1e-300)) - lbeta)
-    val = front / aa * cf
-    result = np.where(use_direct, val, 1.0 - val)
-    result = np.where(x <= 0.0, 0.0, result)
-    result = np.where(x >= 1.0, 1.0, result)
-    return np.clip(result, 0.0, 1.0)
-
-def _betaincinv_fallback(a, b, u):  # pragma: no cover
-    """Inverse incomplete beta by 80 deterministic bisection steps."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    u = np.asarray(u, dtype=np.float64)
-    a, b, u = np.broadcast_arrays(a, b, u)
-    lo = np.zeros(a.shape, dtype=np.float64)
-    hi = np.ones(a.shape, dtype=np.float64)
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        below = _betainc(a, b, mid) < u
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    return 0.5 * (lo + hi)
+    return _resolve_special().betaincinv(a, b, u)
 
 
 def ppf_normal(u: np.ndarray, mean, sigma) -> np.ndarray:

@@ -1,16 +1,19 @@
 """The unified :class:`ExecutionMode` switch for oracle/fast paths.
 
-Three engines in this codebase follow the same *byte-identical oracle*
-discipline: a slow, obviously-correct reference implementation is kept
-alive forever, a vectorized fast path must reproduce its output bit for
-bit, and benchmarks verify (not assume) the equivalence.  Historically
-each engine grew its own ``vectorized: bool`` keyword —
-:func:`repro.core.loopback.run_loopback_session`,
-:func:`repro.dataset.generator.generate_campaign`, the
-:class:`repro.netsim.trace.FluctuatingTrace` OU filter — with slightly
-different ``None``/``True``/``False`` semantics each time.
+One engine keeps a *byte-identical oracle* at run time: the loopback
+Swiftest session (:func:`repro.core.loopback.run_loopback_session`,
+:class:`repro.core.variants.LoopbackSwiftest`, and
+:func:`repro.harness.parallel.run_campaign`, which runs it).  Its
+per-packet interval loop is the slow, obviously-correct reference — the
+only path that exercises wire encoding and DATA-plane faults — and the
+vectorized and banked fast paths must reproduce its output bit for
+bit, which benchmarks verify rather than assume.  Engines whose
+reference only repeated their fast kernel take no mode: the dataset
+generator's per-row reference is ``chunk_size=1``, and the references
+of the capacity-trace OU filter and the analysis folds live in the
+test suite.
 
-:class:`ExecutionMode` replaces them with one tri-state enum:
+:class:`ExecutionMode` is one tri-state enum:
 
 ``oracle``
     Force the scalar reference path.  Slow, used as the ground truth
@@ -25,8 +28,7 @@ different ``None``/``True``/``False`` semantics each time.
     byte-identical, ``auto`` is always safe to leave on.
 
 The module deliberately has no dependencies beyond the standard
-library so every layer (``core``, ``netsim``, ``dataset``,
-``harness``) can import it without cycles.
+library so any layer can import it without cycles.
 """
 
 from __future__ import annotations

@@ -23,10 +23,10 @@ Peak RSS is read from ``getrusage`` (self + reaped children, so shard
 workers are included) — no external profiler dependency.
 
 :func:`run_dataset_bench` (``repro bench dataset``) applies the same
-discipline to the dataset engine: it times the chunked vectorized
-:func:`~repro.dataset.generator.generate_campaign` against the per-row
-reference oracle (``mode='oracle'``), and verifies that chunked ==
-unchunked and fast path == oracle outputs are byte-identical before
+discipline to the dataset engine: it times the chunked
+:func:`~repro.dataset.generator.generate_campaign` against the same
+engine run row by row (``chunk_size=1``, the per-row baseline), and
+verifies that every chunking yields byte-identical outputs before
 reporting any speedup into ``BENCH_dataset.json``.
 
 :func:`run_sessions_bench` (``repro bench sessions``) benchmarks the
@@ -240,16 +240,18 @@ def run_campaign_bench(
 #: Dataset sizes (rows) timed by the full dataset benchmark.
 DATASET_DEFAULT_ROWS: Tuple[int, ...] = (100_000,)
 
-#: Rows the per-row oracle is timed on (it runs ~2k rows/s, so the
-#: oracle leg uses its own smaller campaign and speedup compares
-#: rows-per-second rates; the oracle's equality check runs on this
-#: same campaign through both paths).
+#: Rows the per-row baseline (``chunk_size=1``) is timed on (it is
+#: one to two orders of magnitude slower than the chunked engine, so
+#: the oracle leg uses its own smaller campaign and speedup compares
+#: rows-per-second rates; its equality check runs on this same
+#: campaign at the benchmark's chunk size).
 DATASET_DEFAULT_ORACLE_ROWS = 5_000
 
 
 @dataclass
 class DatasetBenchCase:
-    """Vectorized-vs-oracle timing at one campaign size."""
+    """Chunked-vs-per-row timing at one campaign size; the ``oracle_*``
+    fields describe the per-row (``chunk_size=1``) leg."""
 
     rows: int
     oracle_rows: int
@@ -283,7 +285,7 @@ def bench_dataset_case(
     seed: int = DEFAULT_SEED,
     year: int = 2021,
 ) -> DatasetBenchCase:
-    """Time the chunked engine vs the per-row oracle at one size."""
+    """Time the chunked engine vs the per-row baseline at one size."""
     config = GenerationConfig(year=year, n_tests=rows, seed=seed)
 
     with PeakRssTracker() as rss:
@@ -306,7 +308,7 @@ def bench_dataset_case(
         year=year, n_tests=oracle_rows, seed=seed
     )
     start = time.perf_counter()
-    oracle = generate_campaign(oracle_config, mode="oracle")
+    oracle = generate_campaign(oracle_config, chunk_size=1)
     oracle_s = time.perf_counter() - start
     oracle_identical = _dataset_fingerprint(oracle) == _dataset_fingerprint(
         generate_campaign(oracle_config, chunk_size=chunk_size)
@@ -652,9 +654,9 @@ OOC_DEFAULT_ROWS = 10_000_000
 #: load did (778 MiB in BENCH_dataset.json).
 OOC_DEFAULT_RSS_CEILING_MB = 150.0
 
-#: Rows of the in-memory identity campaign (streaming kernels vs their
-#: oracles; this phase materialises on purpose and sits outside the
-#: RSS gate).
+#: Rows of the in-memory identity campaign (chunked folds over the
+#: mapped payload vs one-chunk folds in memory; this phase materialises
+#: on purpose and sits outside the RSS gate).
 OOC_DEFAULT_VERIFY_ROWS = 100_000
 
 #: Cap on rows per ingested campaign: the generator's user table (one
@@ -667,21 +669,23 @@ OOC_ROWS_PER_INGEST = 2_000_000
 def _ooc_identity_checks(
     workdir: Path, rows: int, chunk_size: int, seed: int
 ) -> Dict[str, bool]:
-    """Streaming kernels vs in-memory oracles at a materialisable size.
+    """Out-of-core reads and folds vs the in-memory dataset at a
+    materialisable size.
 
-    Every check is byte identity, not tolerance: the mapped columns,
-    the chunked CSV bytes, and each streaming fold's floats must equal
-    the in-memory computation exactly.
+    Every check is byte identity, not tolerance: the mapped columns and
+    the chunked CSV bytes must equal the in-memory dataset's, each fold
+    over the mapped payload's chunks must equal the same fold over the
+    in-memory dataset as one chunk, and the bootstrap must not depend on
+    its chunking.  The folds have one implementation each, so these
+    flags guard the chunked reads and the chunk-partition invariance;
+    the comparisons against independent reference implementations are
+    in the test suite.
     """
-    from repro.analysis.diurnal import hourly_profile, hourly_profile_stream
-    from repro.analysis.longitudinal import (
-        matched_group_declines,
-        matched_group_declines_stream,
-    )
+    from repro.analysis.diurnal import hourly_profile_stream
+    from repro.analysis.longitudinal import matched_group_declines_stream
     from repro.analysis.streams import GroupReduceStream, poisson_bootstrap_ci
     from repro.dataset.generator import iter_campaign_chunks
     from repro.dataset.ooc import write_npd
-    from repro.dataset.records import group_reduce
     from repro.store.catalog import RunStore
     from repro.store.longitudinal import compare_months
 
@@ -700,47 +704,49 @@ def _ooc_identity_checks(
         == _dataset_fingerprint(ds_a)
     )
 
-    csv_a, csv_b = workdir / "oracle.csv", workdir / "stream.csv"
+    small_chunk = max(1, chunk_size // 3)
+    csv_a, csv_b = workdir / "memory.csv", workdir / "stream.csv"
     ds_a.to_csv(csv_a)
-    mapped.to_csv(csv_b, chunk_size=max(1, chunk_size // 3))
+    mapped.to_csv(csv_b, chunk_size=small_chunk)
     checks["to_csv_identical"] = csv_a.read_bytes() == csv_b.read_bytes()
 
-    stream = GroupReduceStream()
-    for chunk in mapped.iter_chunks(
-        chunk_size=max(1, chunk_size // 3),
-        columns=["tech", "bandwidth_mbps"],
-    ):
-        stream.update(chunk["tech"], chunk["bandwidth_mbps"])
-    keys, means, counts = stream.result()
-    ref_keys, ref_means, ref_counts = group_reduce(
-        ds_a.column("tech"), ds_a.bandwidth
-    )
-    checks["group_reduce_identical"] = (
-        keys == ref_keys.tolist()
-        and means.tobytes() == ref_means.tobytes()
-        and counts.tolist() == ref_counts.tolist()
-    )
+    def mapped_chunks(columns):
+        return mapped.iter_chunks(chunk_size=small_chunk, columns=columns)
+
+    def one_chunk(dataset, columns):
+        return dataset.iter_chunks(chunk_size=len(dataset), columns=columns)
+
+    def tech_groups(chunks):
+        stream = GroupReduceStream()
+        for chunk in chunks:
+            stream.update(chunk["tech"], chunk["bandwidth_mbps"])
+        keys, means, counts = stream.result()
+        return keys, means.tobytes(), counts.tolist()
+
+    tech_columns = ["tech", "bandwidth_mbps"]
+    checks["group_reduce_identical"] = tech_groups(
+        mapped_chunks(tech_columns)
+    ) == tech_groups(one_chunk(ds_a, tech_columns))
 
     hourly_columns = ["tech", "hour", "bandwidth_mbps"]
     checks["hourly_identical"] = hourly_profile_stream(
-        mapped.iter_chunks(columns=hourly_columns), "4G"
-    ) == hourly_profile(ds_a, "4G")
+        mapped_chunks(hourly_columns), "4G"
+    ) == hourly_profile_stream(one_chunk(ds_a, hourly_columns), "4G")
 
     group_columns = ["tech", "isp", "city_tier", "bandwidth_mbps"]
     checks["longitudinal_identical"] = matched_group_declines_stream(
-        mapped.iter_chunks(columns=group_columns),
-        ds_b.iter_chunks(chunk_size=max(1, chunk_size // 3),
-                         columns=group_columns),
+        mapped_chunks(group_columns),
+        ds_b.iter_chunks(chunk_size=small_chunk, columns=group_columns),
         "4G",
-    ) == matched_group_declines(ds_a, ds_b, "4G")
+    ) == matched_group_declines_stream(
+        one_chunk(ds_a, group_columns), one_chunk(ds_b, group_columns), "4G"
+    )
 
     sample = ds_a.bandwidth[: min(20_000, rows)]
     split = min(1000, len(sample))
     checks["bootstrap_identical"] = poisson_bootstrap_ci(
         [sample[:split], sample[split:]], seed=seed, n_resamples=200
-    ) == poisson_bootstrap_ci(
-        sample, seed=seed, n_resamples=200, mode="oracle"
-    )
+    ) == poisson_bootstrap_ci(sample, seed=seed, n_resamples=200)
 
     # compare_months stream vs oracle over a small mixed-layout store
     # (one out-of-core run, one npz run).
@@ -787,10 +793,11 @@ def run_ooc_bench(
     is the max over the two streaming phases, which must stay under
     ``rss_ceiling_mb`` no matter how large ``rows`` is.
 
-    A third phase replays every streaming kernel against its in-memory
-    oracle at ``verify_rows`` (materialisable by construction) and
-    requires byte identity; its RSS is reported but deliberately not
-    gated.  When ``out_path`` is given the summary is written there
+    A third phase replays the mapped reads and every streaming fold
+    against the in-memory dataset at ``verify_rows`` (materialisable by
+    construction; see :func:`_ooc_identity_checks`) and requires byte
+    identity; its RSS is reported but deliberately not gated.  When
+    ``out_path`` is given the summary is written there
     (``BENCH_ooc.json`` by convention).
     """
     from repro.dataset.generator import iter_campaign_chunks

@@ -16,31 +16,23 @@ discrete-event simulation requires.
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
-from repro.execmode import ExecutionMode
-
 # scipy.signal costs ~75 MiB of RSS to import, so it is resolved
-# lazily on the first vectorized trace construction rather than at
-# module import (out-of-core pipelines that never build a trace keep
-# the memory).  ``_lfilter`` stays a module-level name so tests can
-# monkeypatch it to ``None`` to force the Python-loop path.
-_LFILTER_UNRESOLVED = object()
-_lfilter = _LFILTER_UNRESOLVED
+# lazily on the first trace construction rather than at module import
+# (out-of-core pipelines that never build a trace keep the memory).
+_lfilter = None
 
 
 def _resolve_lfilter():
-    """scipy.signal.lfilter, imported on first use (``None`` if absent)."""
+    """scipy.signal.lfilter, imported on first use."""
     global _lfilter
-    if _lfilter is _LFILTER_UNRESOLVED:
-        try:
-            from scipy.signal import lfilter
+    if _lfilter is None:
+        from scipy.signal import lfilter
 
-            _lfilter = lfilter
-        except ImportError:  # pragma: no cover - scipy is a dependency
-            _lfilter = None
+        _lfilter = lfilter
     return _lfilter
 
 
@@ -101,15 +93,6 @@ class FluctuatingTrace(CapacityTrace):
         Length of the pre-drawn trace; queries beyond it wrap around.
     rng:
         Randomness source.  Required — there is no hidden global seed.
-    mode:
-        :class:`~repro.execmode.ExecutionMode` of the OU grid
-        evaluation.  The AR(1) recursion is an IIR filter, so
-        ``vectorized`` evaluates it through ``scipy.signal.lfilter``
-        (raising when scipy is unavailable), ``oracle`` forces the
-        reference Python loop, and ``auto`` (default) uses lfilter
-        exactly when scipy is importable.  The two paths are
-        bit-identical (lfilter's direct form performs the same fused
-        multiply-add sequence), so the mode never changes the trace.
     """
 
     GRID_STEP_S = 0.05
@@ -122,7 +105,6 @@ class FluctuatingTrace(CapacityTrace):
         duration_s: float,
         rng: np.random.Generator,
         floor_fraction: float = 0.05,
-        mode: Optional[Union[ExecutionMode, str]] = None,
     ):
         super().__init__(base_mbps)
         if sigma < 0:
@@ -141,32 +123,16 @@ class FluctuatingTrace(CapacityTrace):
         # variance sigma^2.
         a = math.exp(-self.GRID_STEP_S / tau_s)
         noise_scale = sigma * math.sqrt(max(0.0, 1.0 - a * a))
-        resolved = ExecutionMode.coerce(mode)
-        lfilter = _resolve_lfilter()
-        if resolved is ExecutionMode.VECTORIZED and lfilter is None:
-            raise ValueError(
-                "mode='vectorized' needs scipy.signal.lfilter; "
-                "use mode='oracle' (or 'auto') without scipy"
-            )
-        use_lfilter = (
-            lfilter is not None
-            if resolved is ExecutionMode.AUTO
-            else resolved is ExecutionMode.VECTORIZED
-        )
         x = np.empty(n)
         x[0] = rng.normal(0.0, sigma) if sigma > 0 else 0.0
         shocks = rng.normal(0.0, 1.0, size=n - 1)
-        if use_lfilter:
-            # The AR(1) recursion is an IIR filter; lfilter's direct-
-            # form evaluation performs the identical fused multiply-add
-            # sequence, so the grid is bit-for-bit the same as the
-            # Python loop's — just computed in C.
-            x[1:] = lfilter(
-                [noise_scale], [1.0, -a], shocks, zi=np.array([a * x[0]])
-            )[0]
-        else:
-            for k in range(n - 1):
-                x[k + 1] = a * x[k] + noise_scale * shocks[k]
+        # The AR(1) recursion x[k+1] = a x[k] + noise_scale shocks[k]
+        # is an IIR filter; lfilter's direct-form evaluation performs
+        # the loop's multiply-add sequence, so the grid is bit-for-bit
+        # what the loop would compute — just computed in C.
+        x[1:] = _resolve_lfilter()(
+            [noise_scale], [1.0, -a], shocks, zi=np.array([a * x[0]])
+        )[0]
         self._grid = np.maximum(base_mbps * (1.0 + x), self._floor)
 
     def capacity_at(self, time_s: float) -> float:

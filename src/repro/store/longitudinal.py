@@ -15,10 +15,10 @@ paper's sample-size floor.
 default) folds each month's runs chunk by chunk — means and matched
 (ISP, city-tier) group means in a single pass per month at O(chunk)
 peak memory, which is what lets a 10M-row month compare under the
-flat-RSS ceiling.  ``"oracle"`` pools everything in memory and runs
-the original kernels; both modes produce bit-identical results (the
-bench identity gate holds them to that), so the oracle exists to keep
-the stream honest, not for callers.
+flat-RSS ceiling.  ``"oracle"`` pools everything in memory first and
+runs the in-memory analysis over the pooled datasets; both modes
+produce bit-identical results (the bench identity gate holds them to
+that).
 """
 
 from __future__ import annotations
@@ -123,7 +123,7 @@ def compare_months(
     ``min_group_tests`` in both months — the matched-group summary
     from :func:`repro.analysis.longitudinal.decline_summary`.
 
-    Means use sequential-sum (``group_reduce``) semantics in both
+    Means use the sequential-sum semantics of the stream folds in both
     modes, so ``"stream"`` and ``"oracle"`` agree bit for bit.
     """
     if len(months) != 2:

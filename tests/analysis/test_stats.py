@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from repro.analysis.stats import (
-    bootstrap_ci,
     cdf,
     cdf_at,
     pdf_histogram,
+    poisson_bootstrap_ci,
     summarize,
 )
 
@@ -73,7 +73,7 @@ def test_pdf_histogram_empty_rejected():
 
 def test_bootstrap_ci_brackets_the_mean(rng):
     values = rng.normal(100.0, 10.0, size=500)
-    point, low, high = bootstrap_ci(values, rng=rng)
+    point, low, high = poisson_bootstrap_ci(values, seed=0)
     assert low < point < high
     assert point == pytest.approx(float(np.mean(values)))
     # The 95% CI of a 500-sample mean with sigma 10 is roughly ±0.9.
@@ -83,58 +83,23 @@ def test_bootstrap_ci_brackets_the_mean(rng):
 def test_bootstrap_ci_narrows_with_sample_size(rng):
     small = rng.normal(100.0, 10.0, size=50)
     large = rng.normal(100.0, 10.0, size=5000)
-    _, lo_s, hi_s = bootstrap_ci(small, rng=np.random.default_rng(1))
-    _, lo_l, hi_l = bootstrap_ci(large, rng=np.random.default_rng(1))
+    _, lo_s, hi_s = poisson_bootstrap_ci(small, seed=1)
+    _, lo_l, hi_l = poisson_bootstrap_ci(large, seed=1)
     assert (hi_l - lo_l) < (hi_s - lo_s)
 
 
-def test_bootstrap_ci_custom_statistic(rng):
-    values = rng.lognormal(3.0, 1.0, size=800)
-    point, low, high = bootstrap_ci(values, statistic=np.median, rng=rng)
-    assert low <= point <= high
-
-
-def test_bootstrap_ci_validation(rng):
+def test_bootstrap_ci_validation():
     with pytest.raises(ValueError):
-        bootstrap_ci([], rng=rng)
+        poisson_bootstrap_ci(np.array([]), seed=0)
     with pytest.raises(ValueError):
-        bootstrap_ci([1.0], confidence=1.5, rng=rng)
+        poisson_bootstrap_ci(np.array([1.0]), seed=0, confidence=1.5)
     with pytest.raises(ValueError):
-        bootstrap_ci([1.0], n_resamples=5, rng=rng)
+        poisson_bootstrap_ci(np.array([1.0]), seed=0, n_resamples=5)
 
 
 def test_bootstrap_ci_deterministic():
-    values = list(range(100))
-    a = bootstrap_ci(values, rng=np.random.default_rng(3))
-    b = bootstrap_ci(values, rng=np.random.default_rng(3))
+    values = np.arange(100, dtype=float)
+    a = poisson_bootstrap_ci(values, seed=3)
+    b = poisson_bootstrap_ci(values, seed=3)
     assert a == b
-
-
-def test_bootstrap_ci_callable_fallback_deterministic():
-    """Arbitrary callables take the loop fallback over the same index
-    draws, so they are seeded-deterministic too."""
-    values = list(range(200))
-
-    def trimmed_mean(sample):
-        lo, hi = np.quantile(sample, [0.1, 0.9])
-        return np.mean(sample[(sample >= lo) & (sample <= hi)])
-
-    a = bootstrap_ci(values, statistic=trimmed_mean,
-                     rng=np.random.default_rng(7))
-    b = bootstrap_ci(values, statistic=trimmed_mean,
-                     rng=np.random.default_rng(7))
-    assert a == b
-
-
-def test_bootstrap_ci_axis_path_matches_loop_over_same_draws():
-    """np.mean rides the axis=1 fast path; feeding the identical index
-    draws through a loop must give the same resample statistics."""
-    values = np.arange(50, dtype=float)
-    fast = bootstrap_ci(values, statistic=np.mean,
-                        n_resamples=100, rng=np.random.default_rng(11))
-    rng = np.random.default_rng(11)
-    idx = rng.integers(0, len(values), size=(100, len(values)))
-    stats = np.array([np.mean(values[row]) for row in idx])
-    low, high = np.quantile(stats, [0.025, 0.975])
-    assert fast == (pytest.approx(values.mean()),
-                    pytest.approx(float(low)), pytest.approx(float(high)))
+    assert poisson_bootstrap_ci(values, seed=4) != a

@@ -1,20 +1,27 @@
-"""Streaming analysis kernels vs their in-memory oracles.
+"""Streaming analysis kernels vs their independent references.
 
-Every assertion here is *byte* identity, not tolerance: the streaming
-folds use the same unbuffered accumulate (``np.add.at``) semantics as
-``group_reduce``'s ``bincount`` left fold, so any chunk partition of
-the input must produce literally the same floats.
+Every assertion here is *byte* identity, not tolerance: the folds
+accumulate with unbuffered ``np.add.at`` in row order, the same
+sequential sums as the ``np.bincount`` group-by of
+:mod:`tests.analysis.reference`, so any chunk partition of the input
+(single rows, odd slices, the whole in-memory dataset as one chunk, or
+the positioned reads of a mapped ``.npd`` payload) must produce
+literally the same floats.
 """
 
 import numpy as np
 import pytest
 
-from repro.analysis.diurnal import hourly_profile, hourly_profile_stream
+from repro.analysis.diurnal import (
+    HourlyProfile,
+    hourly_profile,
+    hourly_profile_stream,
+)
 from repro.analysis.longitudinal import (
     matched_group_declines,
     matched_group_declines_stream,
+    stream_group_means,
 )
-from repro.analysis.stats import bootstrap_ci
 from repro.analysis.streams import (
     GroupReduceStream,
     MeanStream,
@@ -22,7 +29,13 @@ from repro.analysis.streams import (
     poisson_bootstrap_ci,
 )
 from repro.dataset.generator import CampaignConfig, generate_campaign
-from repro.dataset.records import group_reduce
+from repro.dataset.records import Dataset
+
+from .reference import group_means_by_pair, group_reduce, poisson_bootstrap
+
+#: Group-by keys checked: a handful of technologies, and 159 city ids
+#: (past GroupReduceStream's 64 initial slots, so its table regrows).
+GROUP_KEYS = ("tech", "city_id")
 
 
 @pytest.fixture(scope="module")
@@ -35,25 +48,73 @@ def campaign_after():
     return generate_campaign(CampaignConfig(year=2021, n_tests=4000, seed=4))
 
 
+@pytest.fixture(scope="module")
+def mapped_campaign(campaign, tmp_path_factory):
+    path = tmp_path_factory.mktemp("streams") / "campaign.npd"
+    campaign.to_npd(path, chunk_size=999)
+    return Dataset.open_mapped(path)
+
+
 def _chunks(dataset, chunk_size, columns=None):
     return dataset.iter_chunks(chunk_size=chunk_size, columns=columns)
+
+
+def _assert_matches_group_reduce(stream, dataset, key):
+    keys, means, counts = stream.result()
+    ref_keys, ref_means, ref_counts = group_reduce(
+        dataset.column(key), dataset.bandwidth
+    )
+    assert keys == ref_keys.tolist()
+    assert means.tobytes() == ref_means.tobytes()
+    assert counts.tolist() == ref_counts.tolist()
+
+
+def _reference_hourly(dataset, tech):
+    mask = dataset.column("tech") == tech
+    hours, means, counts = group_reduce(
+        dataset.column("hour")[mask], dataset.bandwidth[mask]
+    )
+    return HourlyProfile(
+        counts=dict(zip(hours.tolist(), counts.tolist())),
+        mean_bandwidth=dict(zip(hours.tolist(), means.tolist())),
+    )
+
+
+def _reference_group_means(dataset, tech):
+    mask = dataset.column("tech") == tech
+    return int(mask.sum()), group_means_by_pair(
+        dataset.column("isp")[mask],
+        dataset.column("city_tier")[mask],
+        dataset.bandwidth[mask],
+    )
 
 
 # -- GroupReduceStream -------------------------------------------------
 
 
 @pytest.mark.parametrize("chunk_size", [1, 7, 131, 4000, 9999])
-def test_group_stream_identical_to_group_reduce(campaign, chunk_size):
-    stream = GroupReduceStream()
-    for chunk in _chunks(campaign, chunk_size, ["tech", "bandwidth_mbps"]):
-        stream.update(chunk["tech"], chunk["bandwidth_mbps"])
-    keys, means, counts = stream.result()
-    ref_keys, ref_means, ref_counts = group_reduce(
-        campaign.column("tech"), campaign.bandwidth
-    )
-    assert keys == ref_keys.tolist()
-    assert means.tobytes() == ref_means.tobytes()
-    assert counts.tolist() == ref_counts.tolist()
+def test_group_stream_identical_to_group_reduce(
+    campaign, mapped_campaign, chunk_size
+):
+    for dataset in (campaign, mapped_campaign):
+        for key in GROUP_KEYS:
+            stream = GroupReduceStream()
+            for chunk in _chunks(dataset, chunk_size,
+                                 [key, "bandwidth_mbps"]):
+                stream.update(chunk[key], chunk["bandwidth_mbps"])
+            _assert_matches_group_reduce(stream, campaign, key)
+
+
+def test_group_mean_bandwidth_identical_to_group_reduce(
+    campaign, mapped_campaign
+):
+    for key in GROUP_KEYS:
+        ref_keys, ref_means, _ = group_reduce(
+            campaign.column(key), campaign.bandwidth
+        )
+        expected = dict(zip(ref_keys.tolist(), ref_means.tolist()))
+        assert campaign.group_mean_bandwidth(key) == expected
+        assert mapped_campaign.group_mean_bandwidth(key) == expected
 
 
 def test_group_stream_empty():
@@ -68,16 +129,11 @@ def test_group_stream_pairs_match_flat_codes(campaign):
         stream.update_pairs(
             chunk["isp"], chunk["city_tier"], chunk["bandwidth_mbps"]
         )
-    result = stream.result_dict()
-    isp = campaign.column("isp")
-    tier = campaign.column("city_tier")
-    for (key_a, key_b), (mean, count) in result.items():
-        mask = (isp == key_a) & (tier == key_b)
-        assert count == int(mask.sum())
-        acc = np.zeros(1)
-        np.add.at(acc, np.zeros(count, np.intp),
-                  campaign.bandwidth[mask])
-        assert mean == acc[0] / count
+    assert stream.result_dict() == group_means_by_pair(
+        campaign.column("isp"),
+        campaign.column("city_tier"),
+        campaign.bandwidth,
+    )
 
 
 # -- MeanStream --------------------------------------------------------
@@ -103,11 +159,14 @@ def test_mean_stream_empty_is_nan():
 
 
 @pytest.mark.parametrize("chunk_size", [17, 4000])
-def test_hourly_stream_identical(campaign, chunk_size):
+def test_hourly_stream_identical(campaign, mapped_campaign, chunk_size):
     columns = ["tech", "hour", "bandwidth_mbps"]
-    assert hourly_profile_stream(
-        _chunks(campaign, chunk_size, columns), "4G"
-    ) == hourly_profile(campaign, "4G")
+    expected = _reference_hourly(campaign, "4G")
+    for dataset in (campaign, mapped_campaign):
+        assert hourly_profile_stream(
+            _chunks(dataset, chunk_size, columns), "4G"
+        ) == expected
+        assert hourly_profile(dataset, "4G") == expected
 
 
 def test_hourly_stream_missing_tech_raises(campaign):
@@ -119,18 +178,25 @@ def test_hourly_stream_missing_tech_raises(campaign):
 
 @pytest.mark.parametrize("chunk_before,chunk_after", [(19, 501), (4000, 37)])
 def test_longitudinal_stream_identical(
-    campaign, campaign_after, chunk_before, chunk_after
+    campaign, mapped_campaign, campaign_after, chunk_before, chunk_after
 ):
     columns = ["tech", "isp", "city_tier", "bandwidth_mbps"]
-    ours = matched_group_declines_stream(
-        _chunks(campaign, chunk_before, columns),
-        _chunks(campaign_after, chunk_after, columns),
-        "4G", min_tests=10,
-    )
-    theirs = matched_group_declines(
+    expected = matched_group_declines(
         campaign, campaign_after, "4G", min_tests=10
     )
-    assert ours == theirs
+    assert len(expected) > 0
+    for before in (campaign, mapped_campaign):
+        assert stream_group_means(
+            _chunks(before, chunk_before, columns), "4G"
+        ) == _reference_group_means(campaign, "4G")
+        assert matched_group_declines_stream(
+            _chunks(before, chunk_before, columns),
+            _chunks(campaign_after, chunk_after, columns),
+            "4G", min_tests=10,
+        ) == expected
+    assert stream_group_means(
+        _chunks(campaign_after, chunk_after, columns), "4G"
+    ) == _reference_group_means(campaign_after, "4G")
 
 
 def test_longitudinal_stream_empty_campaign_raises(campaign):
@@ -144,15 +210,22 @@ def test_longitudinal_stream_empty_campaign_raises(campaign):
 
 
 @pytest.mark.parametrize("statistic", ["mean", "sum"])
-def test_bootstrap_stream_equals_oracle(campaign, statistic):
-    values = campaign.bandwidth[:3000]
-    oracle = poisson_bootstrap_ci(
-        values, seed=5, n_resamples=150, statistic=statistic, mode="oracle"
+def test_bootstrap_stream_equals_oracle(campaign, mapped_campaign, statistic):
+    """All 4000 rows: three full 1024-row blocks and a partial one."""
+    values = campaign.bandwidth
+    expected = poisson_bootstrap(
+        values, seed=5, n_resamples=150, statistic=statistic
     )
-    streamed = poisson_bootstrap_ci(
-        values, seed=5, n_resamples=150, statistic=statistic, mode="stream"
+    partitions = (
+        values,
+        [values[:1], values[1:1500], values[1500:]],
+        (chunk["bandwidth_mbps"] for chunk in mapped_campaign.iter_chunks(
+            chunk_size=333, columns=["bandwidth_mbps"])),
     )
-    assert streamed == oracle
+    for chunks in partitions:
+        assert poisson_bootstrap_ci(
+            chunks, seed=5, n_resamples=150, statistic=statistic
+        ) == expected
 
 
 @pytest.mark.parametrize("split", [1, 512, 1024, 1027, 2999])
@@ -165,6 +238,21 @@ def test_bootstrap_chunking_invariant(campaign, split):
     assert chunked == whole
 
 
+def test_bootstrap_result_mid_stream_leaves_the_stream_unchanged(campaign):
+    """Peeking at the interval folds the partial tail block into copies:
+    rows fed afterwards still read their own Philox words."""
+    values = campaign.bandwidth[:3000]
+    one_pass = PoissonBootstrapStream(seed=7, n_resamples=50)
+    one_pass.update(values)
+    peeked = PoissonBootstrapStream(seed=7, n_resamples=50)
+    peeked.update(values[:1500])
+    assert peeked.result() == poisson_bootstrap(
+        values[:1500], seed=7, n_resamples=50
+    )
+    peeked.update(values[1500:])
+    assert peeked.result() == one_pass.result()
+
+
 def test_bootstrap_interval_brackets_point_estimate(campaign):
     values = campaign.bandwidth[:2000]
     stream = PoissonBootstrapStream(seed=7, n_resamples=200)
@@ -174,12 +262,10 @@ def test_bootstrap_interval_brackets_point_estimate(campaign):
     np.add.at(acc, np.zeros(len(values), np.intp), values)
     assert point == acc[0] / len(values)
     assert low <= point <= high
-    # Same confidence contract as the exact resampler.
-    exact = bootstrap_ci(
-        values, n_resamples=200, rng=np.random.default_rng(7)
-    )
-    exact_high = max(exact)
-    assert 0 < low and high < 2 * exact_high
+    # The normal-approximation 95% interval of the mean is
+    # +-1.96 standard errors; the bootstrap's width is within 2x of it.
+    normal_width = 2 * 1.96 * values.std() / np.sqrt(len(values))
+    assert 0.5 * normal_width < high - low < 2 * normal_width
 
 
 def test_bootstrap_validation_errors():

@@ -47,7 +47,7 @@ def assert_datasets_identical(a, b):
 def test_oracle_matches_vectorized_home_path():
     config = CampaignConfig(n_tests=400, seed=9, home_path=True)
     fast = generate_campaign(config)
-    slow = generate_campaign(config, mode="oracle")
+    slow = generate_campaign(config, chunk_size=1)
     assert_datasets_identical(fast, slow)
 
 

@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.dataset.records import Dataset, SCHEMA, TestRecord, group_reduce
+from repro.dataset.records import (
+    SCHEMA,
+    Dataset,
+    GroupReduceStream,
+    TestRecord,
+)
 
 
 def tiny_record(test_id=0, tech="4G", bandwidth=50.0, **overrides):
@@ -203,19 +208,22 @@ def test_from_chunks_empty_rejected():
 
 
 def test_group_reduce_means_and_counts():
-    keys = np.array(["b", "a", "b", "a", "c"])
-    values = np.array([2.0, 1.0, 4.0, 3.0, 10.0])
-    uniq, means, counts = group_reduce(keys, values)
-    assert uniq.tolist() == ["a", "b", "c"]
+    stream = GroupReduceStream()
+    stream.update(np.array(["b", "a", "b"]), np.array([2.0, 1.0, 4.0]))
+    stream.update(np.array(["a", "c"]), np.array([3.0, 10.0]))
+    uniq, means, counts = stream.result()
+    assert uniq == ["a", "b", "c"]
     assert means == pytest.approx([2.0, 3.0, 10.0])
     assert counts.tolist() == [2, 2, 1]
 
 
 def test_group_reduce_empty():
-    uniq, means, counts = group_reduce(np.array([]), np.array([]))
+    stream = GroupReduceStream()
+    stream.update(np.array([]), np.array([]))
+    uniq, means, counts = stream.result()
     assert len(uniq) == len(means) == len(counts) == 0
 
 
 def test_group_reduce_length_mismatch():
     with pytest.raises(ValueError):
-        group_reduce(np.array([1, 2]), np.array([1.0]))
+        GroupReduceStream().update(np.array([1, 2]), np.array([1.0]))

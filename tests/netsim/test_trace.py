@@ -1,5 +1,7 @@
 """Capacity traces: constant, fluctuating, shaped, stepped."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -104,21 +106,37 @@ def test_mean_capacity_empty_window_rejected():
         trace.mean_capacity(1.0, 1.0)
 
 
-def test_fluctuating_trace_lfilter_matches_python_loop(monkeypatch):
-    """The scipy.lfilter vectorization of the OU recurrence must be
-    bitwise identical to the original Python loop — same filter, same
-    float operations, just batched."""
-    import repro.netsim.trace as trace_mod
+def ou_grid_reference(base_mbps, sigma, tau_s, duration_s, rng,
+                      floor_fraction=0.05):
+    """FluctuatingTrace's capacity grid by the per-step AR(1) loop, with
+    the same draws in the same order."""
+    step = FluctuatingTrace.GRID_STEP_S
+    n = max(2, int(math.ceil(duration_s / step)) + 1)
+    a = math.exp(-step / tau_s)
+    noise_scale = sigma * math.sqrt(max(0.0, 1.0 - a * a))
+    x = np.empty(n)
+    x[0] = rng.normal(0.0, sigma) if sigma > 0 else 0.0
+    shocks = rng.normal(0.0, 1.0, size=n - 1)
+    for k in range(n - 1):
+        x[k + 1] = a * x[k] + noise_scale * shocks[k]
+    return np.maximum(base_mbps * (1.0 + x), floor_fraction * base_mbps)
 
-    if trace_mod._resolve_lfilter() is None:
-        pytest.skip("scipy unavailable; only the fallback path exists")
 
-    kwargs = dict(sigma=0.12, tau_s=1.5, duration_s=20.0)
-    fast = FluctuatingTrace(
-        180.0, rng=np.random.default_rng(42), **kwargs
-    )
-    monkeypatch.setattr(trace_mod, "_lfilter", None)
-    slow = FluctuatingTrace(
-        180.0, rng=np.random.default_rng(42), **kwargs
-    )
-    assert np.array_equal(fast._grid, slow._grid)
+def test_fluctuating_trace_lfilter_matches_python_loop():
+    """The scipy.lfilter evaluation of the OU recurrence must be bitwise
+    identical to the Python loop — same filter, same float operations,
+    just batched."""
+    cases = [
+        (180.0, dict(sigma=0.12, tau_s=1.5, duration_s=20.0)),
+        (100.0, dict(sigma=1.5, tau_s=0.2, duration_s=20.0)),
+        (55.0, dict(sigma=0.3, tau_s=8.0, duration_s=0.01)),
+        (150.0, dict(sigma=0.0, tau_s=1.0, duration_s=5.0)),
+    ]
+    for seed, (base, kwargs) in enumerate(cases):
+        trace = FluctuatingTrace(
+            base, rng=np.random.default_rng(seed), **kwargs
+        )
+        reference = ou_grid_reference(
+            base, rng=np.random.default_rng(seed), **kwargs
+        )
+        assert trace._grid.tobytes() == reference.tobytes()

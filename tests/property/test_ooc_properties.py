@@ -1,6 +1,6 @@
-"""Property-based identity: streaming kernels are invariant to chunk
-partition and row order exactly when their oracles are, and the
-out-of-core roundtrip preserves bytes for arbitrary partitions."""
+"""Property-based identity: streaming kernels match their independent
+references for any chunk partition and row order, and the out-of-core
+roundtrip preserves bytes for arbitrary partitions."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -12,7 +12,9 @@ from repro.analysis.streams import (
 )
 from repro.dataset.generator import CampaignConfig, generate_campaign
 from repro.dataset.ooc import npd_file_index, open_mapped, write_npd
-from repro.dataset.records import SCHEMA, group_reduce
+from repro.dataset.records import SCHEMA
+
+from ..analysis.reference import group_reduce, poisson_bootstrap
 
 _CAMPAIGN = generate_campaign(CampaignConfig(year=2020, n_tests=600, seed=21))
 
@@ -50,8 +52,8 @@ def test_group_stream_matches_oracle_under_row_permutation(
     parts, order_seed
 ):
     # Reordering rows changes the accumulation order, so the streamed
-    # floats must equal the oracle's *on the same order* — the oracle
-    # and the stream move in lockstep, whatever the order.
+    # floats must equal the reference's *on the same order* — the two
+    # move in lockstep, whatever the order.
     perm = np.random.default_rng(order_seed).permutation(len(_CAMPAIGN))
     tech = _CAMPAIGN.column("tech")[perm]
     bw = _CAMPAIGN.bandwidth[perm]
@@ -84,8 +86,7 @@ def test_bootstrap_invariant_to_chunk_partition(parts):
     chunked = poisson_bootstrap_ci(
         [bw[lo:hi] for lo, hi in parts], seed=2, n_resamples=50
     )
-    oracle = poisson_bootstrap_ci(bw, seed=2, n_resamples=50, mode="oracle")
-    assert chunked == oracle
+    assert chunked == poisson_bootstrap(bw, seed=2, n_resamples=50)
 
 
 @given(parts=partitions())

@@ -554,6 +554,12 @@ def test_generate_store_month_requires_store(capsys):
     assert "--store-month needs --store" in capsys.readouterr().err
 
 
+def test_generate_npd_requires_out_or_store(capsys):
+    code = main(["generate", "--n-tests", "10", "--format", "npd"])
+    assert code == 2
+    assert "--format npd needs --out or --store" in capsys.readouterr().err
+
+
 def test_runs_show_schema_and_columns(tmp_path, capsys):
     store = tmp_path / "runs"
     main(["generate", "--n-tests", "2000", "--seed", "11",
@@ -594,7 +600,7 @@ def test_bench_ooc_command(tmp_path, capsys):
     captured = capsys.readouterr().out
     assert "out-of-core backend bench" in captured
     assert "generate_ingest" in captured
-    assert "byte-identical to oracles: True" in captured
+    assert "byte-identical to in-memory: True" in captured
     import json as _json
 
     summary = _json.loads(out.read_text())
