@@ -23,6 +23,20 @@ def assert_datasets_byte_identical(a: Dataset, b: Dataset) -> None:
             assert col_a.tobytes() == col_b.tobytes(), name
 
 
+def per_row_oracle(config: CampaignConfig) -> Dataset:
+    """The campaign assembled one record at a time: each row's scalars
+    are appended to per-column lists, and the columns are typed from
+    the schema at the end — no chunk concatenation."""
+    columns = {name: [] for name in SCHEMA}
+    for row in iter_campaign_chunks(config, chunk_size=1):
+        assert set(row) == set(SCHEMA)
+        for name, value in row.items():
+            columns[name].append(value[0])
+    return Dataset(
+        {name: np.array(col, dtype=SCHEMA[name]) for name, col in columns.items()}
+    )
+
+
 @pytest.fixture(scope="module")
 def small_config():
     return CampaignConfig(year=2021, n_tests=3_000, seed=4242)
@@ -39,6 +53,12 @@ def test_chunk_size_invariant(small_config, small_reference, chunk_size):
     per-row reference."""
     chunked = generate_campaign(small_config, chunk_size=chunk_size)
     assert_datasets_byte_identical(small_reference, chunked)
+
+
+def test_oracle_equality(small_config, small_reference):
+    """The record-at-a-time oracle and the chunked path agree byte for
+    byte."""
+    assert_datasets_byte_identical(small_reference, per_row_oracle(small_config))
 
 
 def test_oracle_equality_2020():
