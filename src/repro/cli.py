@@ -277,20 +277,20 @@ def cmd_measure(args: argparse.Namespace) -> int:
               f"(have {bandwidth_test_names()})", file=sys.stderr)
         return 2
     contexts = Dataset.load(args.campaign)
-    config = CampaignConfig(
-        seed=args.seed,
-        max_tests=args.tests,
-        test=args.test,
-        retry=RetryPolicy(max_attempts=args.max_attempts),
-        checkpoint_path=args.checkpoint,
-        checkpoint_every=args.checkpoint_every,
-        n_shards=args.shards,
-        manifest_path=args.manifest,
-        store_path=args.store,
-        store_month=args.store_month,
-        mode=args.mode,
-    )
     try:
+        config = CampaignConfig(
+            seed=args.seed,
+            max_tests=args.tests,
+            test=args.test,
+            retry=RetryPolicy(max_attempts=args.max_attempts),
+            checkpoint_path=args.checkpoint,
+            checkpoint_every=args.checkpoint_every,
+            n_shards=args.shards,
+            manifest_path=args.manifest,
+            store_path=args.store,
+            store_month=args.store_month,
+            mode=args.mode,
+        )
         report = run_campaign(
             contexts, config, resume=args.resume, salvage=args.salvage
         )
@@ -298,8 +298,9 @@ def cmd_measure(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:
-        # e.g. --mode vectorized with a test the session bank cannot
-        # batch (fault plans, non-loopback variants).
+        # An out-of-range flag (--tests, --shards, --max-attempts,
+        # --checkpoint-every, --seed), or --mode vectorized with a
+        # test the session bank cannot batch.
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if config.n_shards > 1:

@@ -83,7 +83,7 @@ class RollingConvergenceKernel:
       are the same floats the deque would hold;
     * the convergence test is the same ``(max - min) / max`` on the
       same ten values (max/min are order-free);
-    * the converged :meth:`value` and the timeout window both
+    * the converged :meth:`values` and the timeout window both
       reconstruct the window *in push order* (oldest first) before
       reducing, so even order-sensitive reductions — ``np.mean``'s
       pairwise summation, Python's left-to-right ``sum`` — see the
@@ -152,8 +152,14 @@ class RollingConvergenceKernel:
         cols = (start + np.arange(count)) % self.window
         return self._buf[i, cols]
 
-    def value(self, i: int) -> float:
-        """Converged result for session ``i``: ``np.mean`` over the
-        window in push order, matching
-        :meth:`ConvergenceDetector.value` operation for operation."""
-        return float(np.mean(self.ordered_window(i)))
+    def values(self, idx: np.ndarray) -> np.ndarray:
+        """Converged results for the sessions ``idx``: ``np.mean`` over
+        each full window in push order, matching
+        :meth:`ConvergenceDetector.value` operation for operation.
+
+        The windows are gathered oldest first into C-ordered rows, over
+        which ``mean(axis=1)`` is each row's own pairwise sum."""
+        idx = np.asarray(idx, dtype=np.int64)
+        cols = (self._pos[idx, None] + np.arange(self.window)) % self.window
+        windows = np.ascontiguousarray(self._buf[idx[:, None], cols])
+        return windows.mean(axis=1)

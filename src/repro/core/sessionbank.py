@@ -38,10 +38,12 @@ How bit-equality is achieved (the same playbook as PR 4):
   evaluated on the window *in push order*, exactly as the scalar
   detector's deque would yield it.
 
-What a bank cannot express falls back to the oracle automatically one
-level up (see :func:`repro.harness.runtime.iter_banked_rows`): rows
-with an active :class:`~repro.netsim.faults.FaultPlan`, non-loopback
-services, and non-ladder rate models.
+A bank cannot express data-plane faults, services other than the
+loopback, or rate models other than a ladder; one level up,
+:func:`repro.harness.runtime.bankable_service` sends campaigns of
+such services row by row instead.  A campaign row never carries a
+fault plan, so every row of a bankable campaign is banked (see
+:func:`repro.harness.runtime.iter_banked_rows`).
 """
 
 from __future__ import annotations
@@ -261,10 +263,10 @@ class SessionBank:
             # -- converge? ----------------------------------------------
             conv = kernel.converged(active)
             if conv.any():
-                for i in active[conv]:
-                    out_bw[i] = kernel.value(i)
-                out_duration[active[conv]] = t
-                out_converged[active[conv]] = True
+                done = active[conv]
+                out_bw[done] = kernel.values(done)
+                out_duration[done] = t
+                out_converged[done] = True
                 keep = ~conv
                 active = active[keep]
                 if active.size == 0:

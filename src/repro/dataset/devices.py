@@ -10,6 +10,7 @@ factor (normalised to population mean 1) plus small model-level noise.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
@@ -51,6 +52,20 @@ N_MODELS = 2381
 MODEL_SIGMA = 0.05
 
 
+def _choice_cdf(p) -> List[float]:
+    """The CDF ``Generator.choice(..., p=p)`` inverts: the running sum
+    of ``p`` over its total."""
+    cdf = np.cumsum(np.asarray(p, dtype=np.float64))
+    cdf /= cdf[-1]
+    return cdf.tolist()
+
+
+def _choose(cdf: List[float], rng: np.random.Generator) -> int:
+    """The index ``Generator.choice(len(cdf), p=p)`` draws: one
+    ``random()``, inverted through :func:`_choice_cdf`'s CDF."""
+    return bisect.bisect_right(cdf, rng.random())
+
+
 @dataclass
 class DevicePopulation:
     """Synthetic vendor/model/version population.
@@ -76,12 +91,13 @@ class DevicePopulation:
         self._vendor_probs = (1.0 / ranks) / np.sum(1.0 / ranks)
         self.models = [f"model-{i:04d}" for i in range(N_MODELS)]
         tiers = ["low", "mid", "high"]
+        vendor_cdf = _choice_cdf(self._vendor_probs)
+        tier_cdf = _choice_cdf([0.35, 0.45, 0.20])
         for model in self.models:
-            vendor_idx = int(rng.choice(N_VENDORS, p=self._vendor_probs))
-            self.model_vendor[model] = self.vendors[vendor_idx]
-            self.model_tier[model] = str(rng.choice(tiers, p=[0.35, 0.45, 0.20]))
-            self.model_factor[model] = float(
-                np.clip(rng.lognormal(0.0, MODEL_SIGMA), 0.8, 1.25)
+            self.model_vendor[model] = self.vendors[_choose(vendor_cdf, rng)]
+            self.model_tier[model] = tiers[_choose(tier_cdf, rng)]
+            self.model_factor[model] = min(
+                max(rng.lognormal(0.0, MODEL_SIGMA), 0.8), 1.25
             )
 
     # -- sampling ------------------------------------------------------
@@ -106,8 +122,7 @@ class DevicePopulation:
         # Tilt the distribution by hardware tier.
         tilt = {"low": -1.0, "mid": 0.0, "high": 1.5}[tier]
         weights = base * np.exp(tilt * (np.array(versions) - 9) / 3.0)
-        weights = weights / weights.sum()
-        return int(rng.choice(versions, p=weights))
+        return versions[_choose(_choice_cdf(weights / weights.sum()), rng)]
 
     def bandwidth_factor(self, model: str, version: int) -> float:
         """Multiplicative bandwidth effect of (device, OS version)."""

@@ -13,8 +13,9 @@
 * :mod:`repro.harness.runtime` — what that row loop is made of:
   per-row retries with deterministic backoff, quarantine accounting,
   the session-bank executor, the checkpoint codec, report assembly;
-* :mod:`repro.harness.collection` — the subset a campaign measures
-  and each row's simulated environment;
+* :mod:`repro.harness.collection` — the subset a campaign measures,
+  each row's simulated environment, and the access capacities the
+  session bank reads instead;
 * :mod:`repro.harness.config` — the frozen
   :class:`~repro.harness.config.CampaignConfig` /
   :class:`~repro.harness.config.RetryPolicy` recipe a campaign runs;

@@ -132,12 +132,12 @@ class CampaignConfig:
         manifest's creation month.
     mode:
         :class:`~repro.execmode.ExecutionMode` of the campaign
-        executor.  ``auto`` (default) batches fault-free loopback rows
-        through the columnar
-        :class:`~repro.core.sessionbank.SessionBank` and falls back to
-        the per-row engine for everything else; ``oracle`` forces the
-        per-row reference engine; ``vectorized`` demands the bank and
-        raises when the configured test cannot be banked.  By the
+        executor.  ``auto`` (default) runs the rows of a bankable test
+        (the loopback on a fixed ladder) through the columnar
+        :class:`~repro.core.sessionbank.SessionBank` and any other
+        test row by row; ``oracle`` forces the per-row reference
+        engine; ``vectorized`` demands the bank and raises when the
+        configured test cannot be banked.  By the
         oracle contract the mode never changes results — it is not
         part of the campaign fingerprint, so checkpoints interoperate
         across modes.
@@ -157,6 +157,8 @@ class CampaignConfig:
     mode: Union[ExecutionMode, str] = ExecutionMode.AUTO
 
     def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.max_tests is not None and self.max_tests < 1:
             raise ValueError(
                 f"max_tests must be >= 1 or None, got {self.max_tests}"

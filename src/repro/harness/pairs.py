@@ -14,7 +14,7 @@ shaping by base stations and WiFi APs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Union
 
 import numpy as np
 
@@ -34,17 +34,24 @@ SHAPED_PROBABILITY = 0.01
 #: Range of fluctuation magnitudes for ordinary environments.
 FLUCTUATION_RANGE = (0.01, 0.07)
 
+#: Mean-reversion time and pre-drawn length of a fluctuating link.
+ACCESS_TAU_S = 2.0
+ACCESS_TRACE_S = 40.0
+
 #: Server RTT spread: BTS pools sit near the user's IXP domain.
 RTT_RANGE_S = (0.008, 0.035)
 
 
-def _access_trace(
+def _access_draws(
     bandwidth_mbps: float, rng: np.random.Generator
-) -> CapacityTrace:
-    """Draw the access-capacity weather for one test pair.
+) -> Union[ShapedTrace, float]:
+    """The first draws of one access link's weather, in stream order.
 
-    A shaped link throttles to a share of its capacity, but never
-    below 1 Mbps — nor above the capacity itself, which a sub-megabit
+    Returns the finished :class:`ShapedTrace` of a shaped link, or the
+    ``sigma`` of a fluctuating one, whose OU draws
+    (:func:`repro.netsim.trace.ou_draws`) come next on ``rng``.  A
+    shaped link throttles to a share of its capacity, but never below
+    1 Mbps — nor above the capacity itself, which a sub-megabit
     context would otherwise get.
     """
     if rng.random() < SHAPED_PROBABILITY:
@@ -55,9 +62,19 @@ def _access_trace(
             period_s=rng.uniform(2.0, 6.0),
             duty_cycle=rng.uniform(0.4, 0.7),
         )
-    sigma = float(rng.uniform(*FLUCTUATION_RANGE))
+    return float(rng.uniform(*FLUCTUATION_RANGE))
+
+
+def _access_trace(
+    bandwidth_mbps: float, rng: np.random.Generator
+) -> CapacityTrace:
+    """Draw the access-capacity weather for one test pair."""
+    weather = _access_draws(bandwidth_mbps, rng)
+    if isinstance(weather, ShapedTrace):
+        return weather
     return FluctuatingTrace(
-        bandwidth_mbps, sigma=sigma, tau_s=2.0, duration_s=40.0, rng=rng
+        bandwidth_mbps, sigma=weather, tau_s=ACCESS_TAU_S,
+        duration_s=ACCESS_TRACE_S, rng=rng,
     )
 
 

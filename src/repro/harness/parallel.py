@@ -26,8 +26,8 @@ shard; each worker runs the same row loop over its rows into
 ``<checkpoint>.shard-<k>``:
 
 * **Sharding never changes results.**  A row belongs to shard
-  ``crc32(pack(seed, row)) % n_shards`` (:func:`shard_of`) — a pure
-  function of the campaign seed and the row's global subset index.
+  ``crc32(seed bytes + row bytes) % n_shards`` (:func:`shard_of`) — a
+  pure function of the campaign seed and the row's global subset index.
   Since every per-row decision is itself a pure function of
   ``(seed, row, attempt)`` (see
   :func:`repro.harness.collection.row_environment`), *where* a row
@@ -53,6 +53,7 @@ and service locally.  That keeps the engine correct under both
 from __future__ import annotations
 
 import multiprocessing as mp
+import operator
 import queue as queue_mod
 import struct
 import time
@@ -107,11 +108,19 @@ def shard_of(seed: int, row: int, n_shards: int) -> int:
     assignment is stable under any enumeration order, spreads
     contiguous hot regions across workers, and — because per-row
     results never depend on their shard — is free to change between
-    engine versions without invalidating checkpoints.
+    engine versions without invalidating checkpoints.  The hash reads
+    the seed's unsigned little-endian bytes, 8 of them below ``2**64``
+    and as many as it needs above, so any non-negative seed has a
+    shard; below ``2**63`` those are the bytes of a signed 64-bit
+    seed.
     """
     if n_shards < 1:
         raise ValueError(f"n_shards must be >= 1, got {n_shards}")
-    return zlib.crc32(struct.pack("<qq", seed, row)) % n_shards
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    key = seed.to_bytes(max(8, (seed.bit_length() + 7) // 8), "little")
+    return zlib.crc32(key + struct.pack("<q", row)) % n_shards
 
 
 def shard_checkpoint_path(base: Path, shard_id: int) -> Path:
@@ -162,10 +171,7 @@ def _measure_rows(
     bug, or a kill — so a resume never loses finished rows.
     """
     if config.mode is not ExecutionMode.ORACLE and bankable_service(service):
-        results = iter_banked_rows(
-            service, config.retry, subset, indices, config.seed,
-            mode=config.mode,
-        )
+        results = iter_banked_rows(service, subset, indices, config.seed)
     else:
         results = (
             (i, measure_row(service, config.retry, subset, i, config.seed))

@@ -16,10 +16,12 @@ under supervision:
   of stalling the process, and the jitter draws from a seeded RNG —
   never the wall clock — so every run of the same campaign retries
   identically.
-* **The session bank** (:func:`iter_banked_rows`).  Fault-free
-  loopback rows run in lockstep through
-  :class:`~repro.core.sessionbank.SessionBank`, byte-identical to
-  :func:`measure_row` by the oracle contract.
+* **The session bank** (:func:`iter_banked_rows`).  Loopback rows
+  run in lockstep through :class:`~repro.core.sessionbank.SessionBank`,
+  byte-identical to :func:`measure_row` by the oracle contract.  The
+  bank reads one float per row, which
+  :func:`~repro.harness.collection.row_capacities` computes for a
+  block of rows at once; no banked row builds an environment.
 * **Quarantine.**  Rows that exhaust their retries are never silently
   dropped: they are excluded from the measured dataset and recorded as
   :class:`QuarantinedRow` entries carrying the final outcome (or
@@ -53,7 +55,11 @@ from repro.core.attribution import attribute_rows, attribution_summary
 from repro.dataset.records import Dataset, SCHEMA
 from repro.execmode import ExecutionMode
 from repro.ioutil import atomic_write_json
-from repro.harness.collection import row_environment
+from repro.harness.collection import (
+    SERVER_CAPACITY_MBPS,
+    row_capacities,
+    row_environment,
+)
 from repro.harness.config import CampaignConfig, RetryPolicy
 from repro.obs.metrics import active_registry
 
@@ -271,30 +277,28 @@ def bankable_service(service) -> bool:
 
 def iter_banked_rows(
     service,
-    retry: RetryPolicy,
     subset: Dataset,
     indices,
     seed: int,
-    mode: ExecutionMode = ExecutionMode.AUTO,
     bank_size: int = BANK_SIZE,
 ):
     """Measure ``indices`` through the session bank, yielding
     ``(index, _RowState)`` as rows finish.
 
     The batched counterpart of calling :func:`measure_row` per index:
-    fault-free rows are packed ``bank_size`` at a time into one
+    rows are packed ``bank_size`` at a time into one
     :class:`~repro.core.sessionbank.SessionBank` call, whose results
     are byte-identical to the per-row engine's (the oracle contract),
     so the caller's checkpoints and reports cannot tell the difference.
-    Any row the bank cannot express — an active
-    :class:`~repro.netsim.faults.FaultPlan` on its environment, a
-    non-positive capacity — falls back to :func:`measure_row`
-    automatically under ``auto`` mode and raises under ``vectorized``
-    (which demands the fast path rather than silently degrade).
+    A bank needs one float per row, the mean access capacity over the
+    probing window, and :func:`~repro.harness.collection.row_capacities`
+    computes it without building the row's environment.  Every row can
+    be banked: a campaign row carries no fault plan, and its capacity
+    is positive (the OU floor is a share of a positive base, a shaped
+    link's throttle is clamped to ``(0, base]``).
 
-    Yield order is completion order (fallback rows immediately, banked
-    rows when their bank flushes), not index order; per-row results
-    are order-free by construction.
+    Rows are yielded in ``indices`` order, one bank at a time; per-row
+    results are order-free by construction.
 
     Metrics parity: banked rows record the same per-row counters as
     :func:`measure_row` (rows measured, zero retries, the outcome
@@ -304,16 +308,17 @@ def iter_banked_rows(
     from repro.core.sessionbank import run_session_bank
 
     metrics = active_registry()
-    pending: List[int] = []
-    capacities: List[float] = []
-    server_caps: List[float] = []
-
-    def flush():
+    indices = list(indices)
+    for start in range(0, len(indices), bank_size):
+        pending = indices[start:start + bank_size]
+        capacities = row_capacities(
+            subset, pending, seed, service.max_duration_s
+        )
         started = time.perf_counter()
         bank = run_session_bank(
             service.model,
-            np.asarray(capacities, dtype=np.float64),
-            server_capacity_mbps=np.asarray(server_caps, dtype=np.float64),
+            capacities,
+            server_capacity_mbps=SERVER_CAPACITY_MBPS,
             max_duration_s=service.max_duration_s,
         )
         per_row_s = (time.perf_counter() - started) / len(pending)
@@ -326,38 +331,9 @@ def iter_banked_rows(
             yield index, _RowState(
                 measured_mbps=float(bank.bandwidth_mbps[pos]), attempts=1
             )
-        pending.clear()
-        capacities.clear()
-        server_caps.clear()
-
-    for index in indices:
-        env = row_environment(subset, index, seed, attempt=0)
-        capacity = env.true_mean_capacity(0.0, service.max_duration_s)
-        if env.faults is not None or capacity <= 0:
-            if mode is ExecutionMode.VECTORIZED:
-                raise ValueError(
-                    f"mode='vectorized' cannot bank row {index}: "
-                    + (
-                        "it has an active fault plan"
-                        if env.faults is not None
-                        else f"non-positive capacity {capacity}"
-                    )
-                    + "; use mode='auto' to fall back per-row"
-                )
-            yield index, measure_row(service, retry, subset, index, seed)
-            continue
-        ranked = env.servers_by_rtt()
-        pending.append(index)
-        capacities.append(capacity)
-        server_caps.append(
-            ranked[0].capacity_mbps if ranked else 10_000.0
-        )
-        if len(pending) >= bank_size:
-            for item in flush():
-                yield item
-    if pending:
-        for item in flush():
-            yield item
+        # Free the bank's per-tick sample arrays before the next
+        # block's capacity pass allocates on top of them.
+        del bank
 
 
 # -- shared report assembly ------------------------------------------------

@@ -36,13 +36,103 @@ def _resolve_lfilter():
     return _lfilter
 
 
+#: Spacing of a :class:`FluctuatingTrace`'s pre-drawn grid.
+GRID_STEP_S = 0.05
+
+
+def positive_capacity(base_mbps: float) -> float:
+    """``base_mbps`` as a float; the ``ValueError`` every trace raises
+    for a capacity that is not positive."""
+    if base_mbps <= 0:
+        raise ValueError(f"capacity must be positive, got {base_mbps}")
+    return float(base_mbps)
+
+
+def sample_times(
+    start_s: float, end_s: float, step_s: float = 0.05
+) -> np.ndarray:
+    """The times :meth:`CapacityTrace.mean_capacity` averages over."""
+    if end_s <= start_s:
+        raise ValueError("end must follow start")
+    return np.arange(start_s, end_s, step_s)
+
+
+def grid_points(duration_s: float) -> int:
+    """Points of an OU grid pre-drawn over ``duration_s``."""
+    return max(2, int(math.ceil(duration_s / GRID_STEP_S)) + 1)
+
+
+def ou_draws(rng: np.random.Generator, sigma: float, n_shocks: int):
+    """An OU grid's draws from ``rng``, in stream order: the stationary
+    start ``x0``, then ``n_shocks`` unit shocks.
+
+    ``Generator.normal`` fills its output sequentially, so a shorter
+    ``n_shocks`` draws a prefix of a longer one's shocks.
+    """
+    x0 = rng.normal(0.0, sigma) if sigma > 0 else 0.0
+    return x0, rng.normal(0.0, 1.0, size=n_shocks)
+
+
+def ou_grids(
+    base_mbps: np.ndarray,
+    sigma: np.ndarray,
+    x0: np.ndarray,
+    shocks: np.ndarray,
+    tau_s: float,
+    floor_fraction: float = 0.05,
+) -> np.ndarray:
+    """Capacity grids of OU fluctuations, one row per trace.
+
+    Row ``r`` runs the discretised Ornstein-Uhlenbeck recursion
+    ``x[k+1] = a x[k] + noise_scale[r] shocks[r, k]`` from ``x0[r]``
+    and floors ``base_mbps[r] (1 + x)`` at ``floor_fraction`` of the
+    base.  Returns a ``(rows, shocks.shape[1] + 1)`` array.
+
+    The recursion is an IIR filter; lfilter's direct-form evaluation
+    performs the loop's multiply-add sequence lane by lane, so every
+    row is bit-for-bit what the loop would compute, and the same
+    whichever rows share the call.  lfilter is causal, so a prefix of
+    the shocks gives a prefix of the grid.
+    """
+    base = np.asarray(base_mbps, dtype=np.float64)
+    x0 = np.asarray(x0, dtype=np.float64)
+    # Exact OU discretisation: stationary variance sigma^2.
+    a = math.exp(-GRID_STEP_S / tau_s)
+    noise_scale = np.asarray(sigma, dtype=np.float64) * math.sqrt(
+        max(0.0, 1.0 - a * a)
+    )
+    x = np.empty((base.size, shocks.shape[1] + 1))
+    x[:, 0] = x0
+    x[:, 1:] = _resolve_lfilter()(
+        [1.0], [1.0, -a], noise_scale[:, None] * shocks, axis=1,
+        zi=(a * x0)[:, None],
+    )[0]
+    floor = floor_fraction * base
+    return np.maximum(base[:, None] * (1.0 + x), floor[:, None])
+
+
+def grid_positions(times_s, duration_s: float, n_points: int):
+    """Where ``times_s`` fall on an ``n_points`` grid that wraps every
+    ``duration_s``: the points ``lo`` and ``hi`` around each time and
+    its fraction of the way from one to the other."""
+    t = np.asarray(times_s, dtype=np.float64) % duration_s
+    pos = t / GRID_STEP_S
+    lo = pos.astype(np.int64)
+    hi = np.minimum(lo + 1, n_points - 1)
+    return lo, hi, pos - lo
+
+
+def interpolate(grids: np.ndarray, lo, hi, frac) -> np.ndarray:
+    """Linear interpolation along the last axis of ``grids`` at
+    :func:`grid_positions`."""
+    return grids[..., lo] * (1.0 - frac) + grids[..., hi] * frac
+
+
 class CapacityTrace:
     """Base class: constant capacity unless overridden."""
 
     def __init__(self, base_mbps: float):
-        if base_mbps <= 0:
-            raise ValueError(f"capacity must be positive, got {base_mbps}")
-        self.base_mbps = float(base_mbps)
+        self.base_mbps = positive_capacity(base_mbps)
 
     def capacity_at(self, time_s: float) -> float:
         """Instantaneous capacity in Mbps at simulated time ``time_s``."""
@@ -63,9 +153,7 @@ class CapacityTrace:
     def mean_capacity(self, start_s: float, end_s: float, step_s: float = 0.05) -> float:
         """Average capacity over ``[start_s, end_s)`` sampled every
         ``step_s`` seconds.  Used by tests and estimator ground truth."""
-        if end_s <= start_s:
-            raise ValueError("end must follow start")
-        times = np.arange(start_s, end_s, step_s)
+        times = sample_times(start_s, end_s, step_s)
         return float(np.mean(self.capacities_at(times)))
 
 
@@ -95,7 +183,7 @@ class FluctuatingTrace(CapacityTrace):
         Randomness source.  Required — there is no hidden global seed.
     """
 
-    GRID_STEP_S = 0.05
+    GRID_STEP_S = GRID_STEP_S
 
     def __init__(
         self,
@@ -116,28 +204,16 @@ class FluctuatingTrace(CapacityTrace):
         self.sigma = float(sigma)
         self.tau_s = float(tau_s)
         self.duration_s = float(duration_s)
-        self._floor = floor_fraction * base_mbps
 
-        n = max(2, int(math.ceil(duration_s / self.GRID_STEP_S)) + 1)
-        # Exact OU discretisation: x_{k+1} = a x_k + noise, stationary
-        # variance sigma^2.
-        a = math.exp(-self.GRID_STEP_S / tau_s)
-        noise_scale = sigma * math.sqrt(max(0.0, 1.0 - a * a))
-        x = np.empty(n)
-        x[0] = rng.normal(0.0, sigma) if sigma > 0 else 0.0
-        shocks = rng.normal(0.0, 1.0, size=n - 1)
-        # The AR(1) recursion x[k+1] = a x[k] + noise_scale shocks[k]
-        # is an IIR filter; lfilter's direct-form evaluation performs
-        # the loop's multiply-add sequence, so the grid is bit-for-bit
-        # what the loop would compute — just computed in C.
-        x[1:] = _resolve_lfilter()(
-            [noise_scale], [1.0, -a], shocks, zi=np.array([a * x[0]])
+        x0, shocks = ou_draws(rng, sigma, grid_points(duration_s) - 1)
+        self._grid = ou_grids(
+            [self.base_mbps], [self.sigma], [x0], shocks[None, :],
+            tau_s, floor_fraction,
         )[0]
-        self._grid = np.maximum(base_mbps * (1.0 + x), self._floor)
 
     def capacity_at(self, time_s: float) -> float:
         t = time_s % self.duration_s
-        pos = t / self.GRID_STEP_S
+        pos = t / GRID_STEP_S
         lo = int(pos)
         hi = min(lo + 1, len(self._grid) - 1)
         frac = pos - lo
@@ -147,12 +223,10 @@ class FluctuatingTrace(CapacityTrace):
         """Batch grid lookup: the same modulo / interpolation arithmetic
         as :meth:`capacity_at`, evaluated elementwise over the whole
         array — bit-identical lane by lane."""
-        t = np.asarray(times_s, dtype=np.float64) % self.duration_s
-        pos = t / self.GRID_STEP_S
-        lo = pos.astype(np.int64)
-        hi = np.minimum(lo + 1, len(self._grid) - 1)
-        frac = pos - lo
-        return self._grid[lo] * (1.0 - frac) + self._grid[hi] * frac
+        lo, hi, frac = grid_positions(
+            times_s, self.duration_s, len(self._grid)
+        )
+        return interpolate(self._grid, lo, hi, frac)
 
 
 class ShapedTrace(CapacityTrace):

@@ -1,8 +1,13 @@
 """Convergence detector (§5.1's 10-sample, 3% rule)."""
 
+import numpy as np
 import pytest
 
-from repro.core.convergence import ConvergenceDetector
+from repro.core.convergence import (
+    WINDOW,
+    ConvergenceDetector,
+    RollingConvergenceKernel,
+)
 
 
 def test_not_converged_before_full_window():
@@ -108,3 +113,40 @@ def test_infinite_sample_rejected():
     for _ in range(10):
         det.push(100.0)
     assert det.converged()
+
+
+def test_kernel_matches_detectors_under_random_pushes_and_resets():
+    """The columnar kernel against N scalar detectors fed the same
+    pushes and resets: the same convergence mask after every step, and
+    ``values`` equal to each detector's ``value()`` bit for bit, with
+    converged windows ending at every ring position."""
+    rng = np.random.default_rng(2024)
+    n = 64
+    kernel = RollingConvergenceKernel(n)
+    detectors = [ConvergenceDetector() for _ in range(n)]
+    level = rng.uniform(5.0, 900.0, size=n)
+    noise = np.where(rng.random(n) < 0.75, 0.004, 0.05)
+    every = np.arange(n)
+    checked = 0
+    ends = set()
+    for _ in range(300):
+        idx = np.flatnonzero(rng.random(n) < 0.8)
+        shocks = rng.standard_normal(idx.size)
+        samples = level[idx] * (1.0 + noise[idx] * shocks)
+        kernel.push(idx, samples)
+        for i, sample in zip(idx, samples):
+            detectors[i].push(sample)
+        reset = np.flatnonzero(rng.random(n) < 0.03)
+        kernel.reset(reset)
+        for i in reset:
+            detectors[i].reset()
+        conv = kernel.converged(every)
+        assert conv.tolist() == [d.converged() for d in detectors]
+        done = np.flatnonzero(conv)
+        if done.size:
+            expected = np.array([detectors[i].value() for i in done])
+            assert kernel.values(done).tobytes() == expected.tobytes()
+            ends.update(kernel._pos[done].tolist())
+            checked += done.size
+    assert checked > 1000
+    assert ends == set(range(WINDOW))

@@ -14,6 +14,8 @@ from repro.dataset.devices import (
     ANDROID_VERSION_SHARES,
     DevicePopulation,
     MODEL_SIGMA,
+    N_MODELS,
+    N_VENDORS,
 )
 from repro.dataset.isp import (
     CELLULAR_ISP_SHARES,
@@ -124,6 +126,50 @@ def test_bandwidth_factor_version_dominates_model(rng):
     v5 = pop.bandwidth_factor(pop.models[0], 5)
     v12 = pop.bandwidth_factor(pop.models[0], 12)
     assert v12 / v5 > 1.5
+
+
+def choice_reference_population(rng_seed):
+    """DevicePopulation's per-model draws through ``Generator.choice``,
+    the way the population was first built."""
+    rng = np.random.default_rng(rng_seed)
+    ranks = np.arange(1, N_VENDORS + 1)
+    vendor_probs = (1.0 / ranks) / np.sum(1.0 / ranks)
+    vendor, tier, factor = {}, {}, {}
+    for i in range(N_MODELS):
+        model = f"model-{i:04d}"
+        vendor_idx = int(rng.choice(N_VENDORS, p=vendor_probs))
+        vendor[model] = f"vendor-{vendor_idx:03d}"
+        tier[model] = str(
+            rng.choice(["low", "mid", "high"], p=[0.35, 0.45, 0.20])
+        )
+        factor[model] = float(
+            np.clip(rng.lognormal(0.0, MODEL_SIGMA), 0.8, 1.25)
+        )
+    return vendor, tier, factor
+
+
+def choice_reference_version(tier, rng):
+    """``DevicePopulation._sample_version`` through ``Generator.choice``."""
+    versions = sorted(ANDROID_VERSION_SHARES)
+    base = np.array([ANDROID_VERSION_SHARES[v] for v in versions])
+    tilt = {"low": -1.0, "mid": 0.0, "high": 1.5}[tier]
+    weights = base * np.exp(tilt * (np.array(versions) - 9) / 3.0)
+    return int(rng.choice(versions, p=weights / weights.sum()))
+
+
+@pytest.mark.parametrize("seed", [20210801, 20220803, 7, 0, 2**40])
+def test_population_draws_match_choice_reference(seed):
+    pop = DevicePopulation(rng_seed=seed)
+    vendor, tier, factor = choice_reference_population(seed)
+    assert pop.model_vendor == vendor
+    assert pop.model_tier == tier
+    assert pop.model_factor == factor
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(300):
+        got = pop.sample_device(ours)
+        model = pop.models[int(theirs.integers(N_MODELS))]
+        version = choice_reference_version(pop.model_tier[model], theirs)
+        assert got == (pop.model_vendor[model], model, version)
 
 
 def test_bandwidth_factor_unknown_version():

@@ -1,10 +1,16 @@
 """Measured campaigns: the §2 data-collection path."""
 
+import numpy as np
 import pytest
 
 from repro.dataset.generator import CampaignConfig as GenerationConfig
 from repro.dataset.generator import generate_campaign
-from repro.harness.collection import measurement_error_stats
+from repro.dataset.records import SCHEMA, Dataset
+from repro.harness.collection import (
+    measurement_error_stats,
+    row_capacities,
+    row_environment,
+)
 from repro.harness.config import CampaignConfig
 from repro.harness.parallel import run_campaign
 
@@ -138,3 +144,90 @@ def test_quarantined_rows_are_accounted_not_dropped(contexts,
     assert measured_ids | quarantined_ids == \
         set(subset.column("test_id").tolist())
     assert measured_ids.isdisjoint(quarantined_ids)
+
+
+# -- the access-capacity kernel -----------------------------------------
+
+#: Window lengths the kernel is checked at: the loopback's 5 s probing
+#: budget, 10 s, and 45 s, past the 40 s trace (the wrap, and every
+#: grid point).
+WINDOWS = (5.0, 10.0, 45.0)
+
+
+@pytest.fixture(scope="module", params=[20220801, 20221101, 7])
+def reference_capacities(request, contexts):
+    """``row_environment(...).true_mean_capacity(0, w)`` of every row,
+    per window, and which rows got a shaped access link."""
+    from repro.netsim.trace import ShapedTrace
+
+    seed = request.param
+    envs = [row_environment(contexts, i, seed) for i in range(len(contexts))]
+    means = {
+        w: np.array([env.true_mean_capacity(0.0, w) for env in envs])
+        for w in WINDOWS
+    }
+    shaped = [isinstance(env.access.trace, ShapedTrace) for env in envs]
+    return seed, means, shaped
+
+
+def test_row_capacities_match_row_environments(contexts,
+                                               reference_capacities):
+    seed, means, shaped = reference_capacities
+    assert len(contexts) >= 2000
+    assert any(shaped)
+    rows = np.arange(len(contexts))
+    for w in WINDOWS:
+        got = row_capacities(contexts, rows, seed, w)
+        assert got.tobytes() == means[w].tobytes(), w
+
+
+@pytest.mark.parametrize("block", [1, 7, 256, 257])
+def test_row_capacities_are_invisible_to_blocks_and_order(
+    contexts, reference_capacities, block
+):
+    """Any split of the rows into calls, and any row order, gives each
+    row the same float."""
+    seed, means, _ = reference_capacities
+    rows = np.random.default_rng(block).permutation(len(contexts))
+    for w in (WINDOWS[0], WINDOWS[-1]):
+        got = np.concatenate([
+            row_capacities(contexts, rows[i:i + block], seed, w)
+            for i in range(0, len(rows), block)
+        ])
+        assert got.tobytes() == means[w][rows].tobytes(), (block, w)
+
+
+def test_row_capacities_raise_what_row_environment_raises(contexts):
+    columns = {name: np.array(contexts.column(name)) for name in SCHEMA}
+    columns["bandwidth_mbps"][[3, 4]] = [0.0, -2.5]
+    broken = Dataset(columns)
+    for index in (3, 4):
+        with pytest.raises(ValueError) as per_row:
+            row_environment(broken, index, seed=5)
+        with pytest.raises(ValueError) as kernel:
+            row_capacities(broken, [0, index], 5, 5.0)
+        assert str(kernel.value) == str(per_row.value)
+    for index in (-1, len(contexts)):
+        with pytest.raises(IndexError):
+            row_capacities(contexts, [0, index], 5, 5.0)
+    with pytest.raises(ValueError, match="end must follow start"):
+        row_capacities(contexts, [0], 5, 0.0)
+
+
+def test_banked_campaign_matches_per_row_measurement(contexts):
+    """600 banked rows (more than one kernel block), in-process and
+    over three shards, against ``measure_row`` row by row."""
+    config = dict(seed=17, max_tests=600, test="swiftest-loopback")
+    per_row = run_campaign(contexts, CampaignConfig(mode="oracle", **config))
+    for n_shards in (1, 3):
+        banked = run_campaign(contexts, CampaignConfig(
+            mode="vectorized", n_shards=n_shards, **config
+        ))
+        for name in SCHEMA:
+            got, expected = (
+                banked.dataset.column(name), per_row.dataset.column(name)
+            )
+            if got.dtype == np.float64:
+                assert got.tobytes() == expected.tobytes(), (n_shards, name)
+            else:
+                assert np.array_equal(got, expected), (n_shards, name)

@@ -4,8 +4,7 @@ Covers the enum itself (coercion, JSON behaviour) and the
 harness-level contracts: banked and
 per-row execution are byte-identical, checkpoints interoperate across
 modes (mode is not part of the campaign fingerprint), manifests record
-the mode as its plain string, fault-plan rows fall back to the oracle
-under ``auto`` and raise under ``vectorized``.
+the mode as its plain string.
 """
 
 import json
@@ -134,10 +133,10 @@ def test_bankable_service_predicate():
     assert not bankable_service(create_bandwidth_test("bts-app"))
 
 
-def test_fault_plan_rows_fall_back_to_oracle(contexts, monkeypatch):
-    """Rows the bank cannot express (active fault plans) silently take
-    the per-row engine under auto — and the results still match a pure
-    oracle run byte for byte."""
+def test_loopback_ignores_row_fault_plans(contexts, monkeypatch):
+    """The loopback never reads ``env.faults``: per-row runs whose
+    environments carry a (no-op) fault plan still match banked runs,
+    which build no environment at all, byte for byte."""
     import repro.harness.runtime as runtime_mod
     from repro.netsim.faults import FaultInjector, IIDLoss
 
@@ -158,19 +157,14 @@ def test_fault_plan_rows_fall_back_to_oracle(contexts, monkeypatch):
     oracle = run_campaign(contexts, _config("oracle"))
     banked = run_campaign(contexts, _config("auto"))
     datasets_identical(oracle.dataset, banked.dataset)
-    # Under 'vectorized' the same rows are a hard error, not a fallback.
-    with pytest.raises(ValueError, match="fault plan"):
-        run_campaign(contexts, _config("vectorized"))
 
 
 def test_iter_banked_rows_bank_size_is_invisible(contexts):
     """Any bank_size partition yields the same per-row states."""
     from repro.core.variants import LoopbackSwiftest
     from repro.harness.collection import campaign_subset
-    from repro.harness.config import RetryPolicy
 
     service = LoopbackSwiftest()
-    retry = RetryPolicy()
     subset = campaign_subset(contexts, seed=13, max_tests=24)
     indices = list(range(len(subset)))
 
@@ -178,8 +172,7 @@ def test_iter_banked_rows_bank_size_is_invisible(contexts):
         return {
             i: s.measured_mbps
             for i, s in iter_banked_rows(
-                service, retry, subset, indices, seed=13,
-                bank_size=bank_size,
+                service, subset, indices, seed=13, bank_size=bank_size,
             )
         }
 

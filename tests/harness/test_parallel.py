@@ -97,6 +97,29 @@ def test_shard_of_spreads_rows():
 def test_shard_of_rejects_bad_count():
     with pytest.raises(ValueError):
         shard_of(0, 0, 0)
+    with pytest.raises(ValueError, match="seed"):
+        shard_of(-1, 0, 2)
+
+
+def test_shard_of_keeps_signed_64_bit_assignments():
+    """Seeds below 2**63 keep the shards they got when the hash packed
+    the seed as a signed 64-bit integer."""
+    pinned = {
+        0: [5, 3, 0, 6, 7, 1, 2, 4],
+        11: [0, 6, 5, 3, 2, 4, 7, 1],
+        20220801: [7, 1, 2, 4, 5, 3, 0, 6],
+        2**63 - 1: [0, 6, 5, 3, 2, 4, 7, 1],
+    }
+    for seed, shards in pinned.items():
+        assert [shard_of(seed, row, 8) for row in range(8)] == shards
+    assert shard_of(np.int64(11), 2, 8) == 5
+
+
+@pytest.mark.parametrize("seed", [2**63, 2**70])
+def test_seeds_past_int64_shard_like_any_other(contexts, seed):
+    serial = run_campaign(contexts, config_with(seed=seed))
+    sharded = run_campaign(contexts, config_with(seed=seed, n_shards=2))
+    datasets_identical(serial.dataset, sharded.dataset)
 
 
 # -- determinism across shard counts ------------------------------------

@@ -135,6 +135,24 @@ def test_measure_sharded_matches_serial(campaign_csv, tmp_path, capsys):
     assert serial_out.read_bytes() == sharded_out.read_bytes()
 
 
+@pytest.mark.parametrize("flag, value, field", [
+    ("--tests", "0", "max_tests"),
+    ("--shards", "0", "n_shards"),
+    ("--max-attempts", "0", "max attempts"),
+    ("--checkpoint-every", "0", "checkpoint interval"),
+    ("--seed", "-1", "seed"),
+])
+def test_measure_rejects_out_of_range_flag(campaign_csv, capsys, flag,
+                                           value, field):
+    code = main(["measure", campaign_csv, "--test", "swiftest-loopback",
+                 flag, value])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert field in err
+    assert "Traceback" not in err
+
+
 def test_measure_unknown_test_name(campaign_csv, capsys):
     code = main(["measure", campaign_csv, "--test", "warp-drive"])
     assert code == 2
