@@ -2,6 +2,9 @@
 
 * :mod:`repro.baselines.btsapp` — the commercial BTS-APP: probing by
   flooding over TCP for a fixed 10 seconds, group-trimmed mean (§2).
+* :mod:`repro.baselines.floodbank` — that flood for many environments
+  in lockstep, byte-identical to the per-row
+  :class:`~repro.baselines.driver.TcpFloodSession`.
 * :mod:`repro.baselines.speedtest` — the Speedtest configuration
   BTS-APP derives from: 15 seconds, top-10%/bottom-25% trim (§5.1).
 * :mod:`repro.baselines.fast` — Netflix FAST's convergence-based test

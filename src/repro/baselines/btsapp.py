@@ -26,6 +26,8 @@ from repro.baselines.driver import (
     TcpFloodSession,
     ping_phase_duration,
 )
+from repro.baselines.floodbank import FloodRun, run_flood_bank
+from repro.tcp.slowstart import check_cc_name
 from repro.testbed.env import TestEnvironment
 
 PROBE_DURATION_S = 10.0
@@ -70,7 +72,7 @@ class BtsApp(BandwidthTestService):
     name = "bts-app"
 
     def __init__(self, cc_name: str = "cubic"):
-        self.cc_name = cc_name
+        self.cc_name = check_cc_name(cc_name)
 
     def run(self, env: TestEnvironment) -> BTSResult:
         ping_s = ping_phase_duration(env, N_PINGED)
@@ -79,16 +81,33 @@ class BtsApp(BandwidthTestService):
             samples = session.run(PROBE_DURATION_S)
         except NoReachableServerError as exc:
             return failed_result(self.name, ping_s, exc)
-        values: List[float] = [s for _, s in samples]
-        bandwidth = group_trimmed_mean(values)
+        return self._result(
+            ping_s, FloodRun(samples, session.bytes_used, session.servers_used)
+        )
+
+    def run_bank(self, envs: Sequence[TestEnvironment]) -> List[BTSResult]:
+        """``[self.run(env) for env in envs]``, with the floods stepped
+        in lockstep by :func:`~repro.baselines.floodbank.run_flood_bank`.
+
+        Raises ``ValueError`` for an environment the bank cannot
+        express, such as one with a fault plan.
+        """
+        floods = run_flood_bank(envs, self.cc_name, PROBE_DURATION_S)
+        return [
+            self._result(ping_phase_duration(env, N_PINGED), flood)
+            for env, flood in zip(envs, floods)
+        ]
+
+    def _result(self, ping_s: float, flood: FloodRun) -> BTSResult:
+        values: List[float] = [s for _, s in flood.samples]
         return BTSResult(
             service=self.name,
-            bandwidth_mbps=bandwidth,
+            bandwidth_mbps=group_trimmed_mean(values),
             duration_s=PROBE_DURATION_S,
             ping_s=ping_s,
-            bytes_used=session.bytes_used,
-            samples=samples,
-            servers_used=session.servers_used,
+            bytes_used=flood.bytes_used,
+            samples=flood.samples,
+            servers_used=flood.servers_used,
             meta={"estimator": "group-trimmed-mean"},
             # BTS-APP has no stopping rule: a full 10 s flood always
             # yields its designed estimate.

@@ -22,7 +22,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.tcp.connection import TcpConnection
 from repro.tcp.slowstart import make_cc
 from repro.testbed.env import TestEnvironment
-from repro.units import SAMPLE_INTERVAL_S
+from repro.units import SAMPLE_INTERVAL_S, serial_sum
 
 #: Simulation slice; four slices per 50 ms sample.
 _STEP_S = 0.0125
@@ -164,7 +164,7 @@ class TcpFloodSession:
 
     @property
     def bytes_used(self) -> float:
-        return sum(c.bytes_received for c in self.connections)
+        return serial_sum(c.bytes_received for c in self.connections)
 
     def run(
         self,
@@ -220,4 +220,4 @@ def ping_phase_duration(env: TestEnvironment, n_pinged: int) -> float:
     ``n_pinged`` geographically nearest candidates.
     """
     ranked = env.servers_by_rtt()[: max(1, n_pinged)]
-    return sum(s.rtt_s for s in ranked)
+    return serial_sum(s.rtt_s for s in ranked)

@@ -30,6 +30,7 @@ from repro.baselines.driver import (
     TcpFloodSession,
     ping_phase_duration,
 )
+from repro.tcp.slowstart import check_cc_name
 from repro.testbed.env import TestEnvironment
 
 MAX_DURATION_S = 30.0
@@ -80,7 +81,7 @@ class FastBTS(BandwidthTestService):
     name = "fastbts"
 
     def __init__(self, cc_name: str = "cubic"):
-        self.cc_name = cc_name
+        self.cc_name = check_cc_name(cc_name)
 
     def run(self, env: TestEnvironment) -> BTSResult:
         ping_s = ping_phase_duration(env, N_PINGED)

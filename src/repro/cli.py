@@ -299,8 +299,9 @@ def cmd_measure(args: argparse.Namespace) -> int:
         return 1
     except ValueError as exc:
         # An out-of-range flag (--tests, --shards, --max-attempts,
-        # --checkpoint-every, --seed), or --mode vectorized with a
-        # test the session bank cannot batch.
+        # --checkpoint-every, --seed), --mode vectorized with a test
+        # no bank can batch, or a context whose bandwidth is not
+        # positive and finite (a blank CSV cell loads as NaN).
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if config.n_shards > 1:
@@ -1221,10 +1222,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("oracle", "vectorized", "auto"),
                    default="auto",
                    help="execution mode: 'vectorized' batches rows "
-                        "through the session bank (and errors if the "
-                        "test cannot be batched), 'oracle' forces the "
-                        "per-row reference engine, 'auto' (default) "
-                        "banks whenever it is safe — results are "
+                        "through a lockstep bank (the flood bank for "
+                        "bts-app, the session bank for "
+                        "swiftest-loopback; errors if the test cannot "
+                        "be batched), 'oracle' forces the per-row "
+                        "reference engine, 'auto' (default) banks "
+                        "whenever it is safe — results are "
                         "byte-identical either way")
     p.set_defaults(func=cmd_measure)
 

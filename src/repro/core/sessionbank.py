@@ -41,7 +41,8 @@ How bit-equality is achieved (the same playbook as PR 4):
 A bank cannot express data-plane faults, services other than the
 loopback, or rate models other than a ladder; one level up,
 :func:`repro.harness.runtime.bankable_service` sends campaigns of
-such services row by row instead.  A campaign row never carries a
+such services row by row instead (BTS-APP through its own flood
+bank, :mod:`repro.baselines.floodbank`).  A campaign row never carries a
 fault plan, so every row of a bankable campaign is banked (see
 :func:`repro.harness.runtime.iter_banked_rows`).
 """

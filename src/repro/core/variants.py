@@ -55,6 +55,7 @@ from repro.baselines.driver import (
 from repro.core.convergence import ConvergenceDetector
 from repro.core.protocol import DATA_PAYLOAD_BYTES
 from repro.execmode import ExecutionMode
+from repro.tcp.slowstart import check_cc_name
 from repro.testbed.env import TestEnvironment
 
 
@@ -131,7 +132,7 @@ class TcpSwiftest(BandwidthTestService):
     name = "tcp-swiftest"
 
     def __init__(self, cc_name: str = "bbr", max_duration_s: float = 10.0):
-        self.cc_name = cc_name
+        self.cc_name = check_cc_name(cc_name)
         self.max_duration_s = max_duration_s
 
     def run(self, env: TestEnvironment) -> BTSResult:

@@ -1,13 +1,21 @@
 """The unified :class:`ExecutionMode` switch for oracle/fast paths.
 
-One engine keeps a *byte-identical oracle* at run time: the loopback
-Swiftest session (:func:`repro.core.loopback.run_loopback_session`,
-:class:`repro.core.variants.LoopbackSwiftest`, and
-:func:`repro.harness.parallel.run_campaign`, which runs it).  Its
-per-packet interval loop is the slow, obviously-correct reference — the
-only path that exercises wire encoding and DATA-plane faults — and the
+Two engines keep a *byte-identical oracle* at run time.  One is the
+loopback Swiftest session
+(:func:`repro.core.loopback.run_loopback_session`,
+:class:`repro.core.variants.LoopbackSwiftest`): its per-packet
+interval loop is the slow, obviously-correct reference — the only path
+that exercises wire encoding and DATA-plane faults — and the
 vectorized and banked fast paths must reproduce its output bit for
-bit, which benchmarks verify rather than assume.  Engines whose
+bit.  The other is the campaign executor
+(:func:`repro.harness.parallel.run_campaign`): ``oracle`` measures
+every row on its own through
+:func:`repro.harness.runtime.measure_row`, and the banked paths (the
+session bank for the loopback, the flood bank of
+:mod:`repro.baselines.floodbank` for BTS-APP, whose reference is the
+per-row :class:`~repro.baselines.driver.TcpFloodSession`) must give
+the same rows.  Benchmarks and tests verify both rather than assume
+them.  Engines whose
 reference only repeated their fast kernel take no mode: the dataset
 generator's per-row reference is ``chunk_size=1``, and the references
 of the capacity-trace OU filter and the analysis folds live in the

@@ -12,7 +12,8 @@
   row→shard partitions, byte-identical either way;
 * :mod:`repro.harness.runtime` — what that row loop is made of:
   per-row retries with deterministic backoff, quarantine accounting,
-  the session-bank executor, the checkpoint codec, report assembly;
+  the lockstep-bank executor (flood bank, session bank), the
+  checkpoint codec, report assembly;
 * :mod:`repro.harness.collection` — the subset a campaign measures,
   each row's simulated environment, and the access capacities the
   session bank reads instead;

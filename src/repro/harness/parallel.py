@@ -11,8 +11,9 @@ run one.  Every run goes through the same steps:
   resolve the rows (:func:`repro.harness.collection.campaign_subset`);
   the fingerprint ties a checkpoint to exactly that campaign.
 * **One row loop** (:func:`_measure_rows`).  It picks the executor —
-  lockstep session bank (:func:`repro.harness.runtime.iter_banked_rows`)
-  or per-row :func:`repro.harness.runtime.measure_row` — per
+  a lockstep bank, the flood bank for BTS-APP or the session bank for
+  the loopback (:func:`repro.harness.runtime.iter_banked_rows`), or
+  per-row :func:`repro.harness.runtime.measure_row` — per
   :class:`~repro.execmode.ExecutionMode`, and flushes a checkpoint
   every ``checkpoint_every`` finished rows and once more on every exit
   path, a crash or kill included.
@@ -81,6 +82,7 @@ from repro.harness.runtime import (
     measure_row,
     write_checkpoint,
 )
+from repro.netsim.trace import positive_capacity
 from repro.obs.manifest import build_campaign_manifest, write_manifest
 from repro.obs.metrics import (
     MetricsRegistry,
@@ -163,7 +165,7 @@ def _measure_rows(
 ) -> int:
     """Measure ``indices`` into ``rows``; return the checkpoint flushes.
 
-    Rows go through the session bank unless the mode is ``oracle`` or
+    Rows go through a lockstep bank unless the mode is ``oracle`` or
     the service cannot be banked; either way their results are
     byte-identical (the oracle contract).  ``rows`` is flushed to
     ``checkpoint_path`` every ``config.checkpoint_every`` finished rows
@@ -235,12 +237,17 @@ def run_campaign(
     ):
         raise ValueError(
             f"mode='vectorized' requires a bankable test "
-            f"(swiftest-loopback on a fixed ladder), got "
+            f"(bts-app, or swiftest-loopback on a fixed ladder), got "
             f"{service.name!r}; use mode='auto' or 'oracle'"
         )
     subset = campaign_subset(
         contexts, seed=config.seed, max_tests=config.max_tests
     )
+    # Every row's environment needs a positive, finite capacity.  Check
+    # them all before any row runs or any shard forks, so a bad context
+    # fails the same way in-process, sharded and banked.
+    for bandwidth in subset.bandwidth.tolist():
+        positive_capacity(bandwidth)
     fingerprint = campaign_fingerprint(
         subset, config.seed, config.max_tests, service.name
     )

@@ -16,12 +16,14 @@ under supervision:
   of stalling the process, and the jitter draws from a seeded RNG —
   never the wall clock — so every run of the same campaign retries
   identically.
-* **The session bank** (:func:`iter_banked_rows`).  Loopback rows
-  run in lockstep through :class:`~repro.core.sessionbank.SessionBank`,
-  byte-identical to :func:`measure_row` by the oracle contract.  The
-  bank reads one float per row, which
+* **Lockstep banks** (:func:`iter_banked_rows`), byte-identical to
+  :func:`measure_row` by the oracle contract.  Loopback rows run
+  through :class:`~repro.core.sessionbank.SessionBank`, which reads
+  one float per row that
   :func:`~repro.harness.collection.row_capacities` computes for a
-  block of rows at once; no banked row builds an environment.
+  block of rows at once, so no banked loopback row builds an
+  environment.  BTS-APP rows build their environments and run through
+  the flood bank (:meth:`~repro.baselines.btsapp.BtsApp.run_bank`).
 * **Quarantine.**  Rows that exhaust their retries are never silently
   dropped: they are excluded from the measured dataset and recorded as
   :class:`QuarantinedRow` entries carrying the final outcome (or
@@ -50,6 +52,7 @@ from typing import Dict, List, Optional, Union
 
 import numpy as np
 
+from repro.baselines.btsapp import BtsApp
 from repro.baselines.common import BandwidthTestService
 from repro.core.attribution import attribute_rows, attribution_summary
 from repro.dataset.records import Dataset, SCHEMA
@@ -70,6 +73,7 @@ __all__ = [
     "CampaignReport",
     "CheckpointError",
     "CorruptCheckpointError",
+    "FLOOD_BANK_SIZE",
     "QuarantinedRow",
     "RetryPolicy",
     "bankable_service",
@@ -252,22 +256,33 @@ def measure_row(
 #: contract: bank results are invariant to bank size).
 BANK_SIZE = 4096
 
+#: Rows grouped into one lockstep flood bank call.  Smaller than
+#: :data:`BANK_SIZE`: a banked BTS-APP row keeps its environment, its
+#: 200 samples and 20 congestion-control objects alive for the whole
+#: bank.  The value never changes results.
+FLOOD_BANK_SIZE = 256
+
 
 def bankable_service(service) -> bool:
-    """Whether ``service`` can execute rows through the columnar
-    :class:`~repro.core.sessionbank.SessionBank`.
+    """Whether ``service`` can execute rows through a lockstep bank.
 
-    Bankable means: the packet-loopback Swiftest variant, on a finite
-    fixed ladder (the bank precomputes the rung table), with the
-    service itself not pinned to its per-packet ``oracle`` interval
-    loop (the perf benchmark's serial baseline must stay serial).
-    Everything else — other services, fitted mixture models — takes
-    the per-row engine.
+    Two services are bankable.  One is BTS-APP (an exact
+    :class:`~repro.baselines.btsapp.BtsApp`, whose subclasses may
+    change what a run does), through the flood bank
+    (:meth:`~repro.baselines.btsapp.BtsApp.run_bank`).  The other is
+    the packet-loopback Swiftest variant on a finite fixed ladder (the
+    bank precomputes the rung table), through the columnar
+    :class:`~repro.core.sessionbank.SessionBank`, unless the service
+    itself is pinned to its per-packet ``oracle`` interval loop (the
+    perf benchmark's serial baseline must stay serial).  Everything
+    else takes the per-row engine: the flood services with a stop
+    check (Speedtest, FAST, FastBTS, ``tcp-swiftest``) and fitted
+    mixture models among them.
     """
     from repro.core.variants import FixedLadderModel, LoopbackSwiftest
     from repro.units import SAMPLE_INTERVAL_S
 
-    return (
+    return type(service) is BtsApp or (
         isinstance(service, LoopbackSwiftest)
         and isinstance(service.model, FixedLadderModel)
         and service.mode is not ExecutionMode.ORACLE
@@ -280,22 +295,33 @@ def iter_banked_rows(
     subset: Dataset,
     indices,
     seed: int,
-    bank_size: int = BANK_SIZE,
+    bank_size: Optional[int] = None,
 ):
-    """Measure ``indices`` through the session bank, yielding
+    """Measure ``indices`` through a lockstep bank, yielding
     ``(index, _RowState)`` as rows finish.
 
-    The batched counterpart of calling :func:`measure_row` per index:
-    rows are packed ``bank_size`` at a time into one
-    :class:`~repro.core.sessionbank.SessionBank` call, whose results
-    are byte-identical to the per-row engine's (the oracle contract),
-    so the caller's checkpoints and reports cannot tell the difference.
-    A bank needs one float per row, the mean access capacity over the
-    probing window, and :func:`~repro.harness.collection.row_capacities`
-    computes it without building the row's environment.  Every row can
-    be banked: a campaign row carries no fault plan, and its capacity
-    is positive (the OU floor is a share of a positive base, a shaped
-    link's throttle is clamped to ``(0, base]``).
+    The batched counterpart of calling :func:`measure_row` per index
+    for a :func:`bankable_service`: rows are packed ``bank_size`` at a
+    time (default :data:`FLOOD_BANK_SIZE` for BTS-APP,
+    :data:`BANK_SIZE` for the loopback) into one bank call, whose
+    results are byte-identical to the per-row engine's (the oracle
+    contract), so the caller's checkpoints and reports cannot tell the
+    difference.
+
+    * BTS-APP rows build their environments with
+      :func:`~repro.harness.collection.row_environment`, so each row's
+      RNG stream continues into its flood, and run through
+      :meth:`~repro.baselines.btsapp.BtsApp.run_bank`.
+    * A loopback bank needs one float per row, the mean access
+      capacity over the probing window, and
+      :func:`~repro.harness.collection.row_capacities` computes it
+      without building the row's environment.
+
+    Every row can be banked, at its first attempt: a campaign row
+    carries no fault plan, its capacity is positive (the campaign
+    checks its contexts; the OU floor is a share of a positive base, a
+    shaped link's throttle is clamped to ``(0, base]``), and a
+    fault-free BTS-APP flood always converges.
 
     Rows are yielded in ``indices`` order, one bank at a time; per-row
     results are order-free by construction.
@@ -305,35 +331,59 @@ def iter_banked_rows(
     taxonomy) and share the bank's wall time evenly across its rows'
     ``campaign.row_wall_s`` observations.
     """
-    from repro.core.sessionbank import run_session_bank
-
     metrics = active_registry()
+    flood = type(service) is BtsApp
+    if bank_size is None:
+        bank_size = FLOOD_BANK_SIZE if flood else BANK_SIZE
+    run_bank = _flood_bank if flood else _session_bank
     indices = list(indices)
     for start in range(0, len(indices), bank_size):
         pending = indices[start:start + bank_size]
-        capacities = row_capacities(
-            subset, pending, seed, service.max_duration_s
-        )
-        started = time.perf_counter()
-        bank = run_session_bank(
-            service.model,
-            capacities,
-            server_capacity_mbps=SERVER_CAPACITY_MBPS,
-            max_duration_s=service.max_duration_s,
-        )
-        per_row_s = (time.perf_counter() - started) / len(pending)
-        for pos, index in enumerate(pending):
-            outcome = bank.outcome(pos)
+        bandwidth, outcomes, bank_s = run_bank(service, subset, pending, seed)
+        per_row_s = bank_s / len(pending)
+        for index, mbps, outcome in zip(pending, bandwidth, outcomes):
             metrics.counter("campaign.rows_measured").inc()
             metrics.counter("campaign.retries").inc(0)
             metrics.counter(f"campaign.outcome.{outcome.value}").inc()
             metrics.histogram("campaign.row_wall_s").observe(per_row_s)
-            yield index, _RowState(
-                measured_mbps=float(bank.bandwidth_mbps[pos]), attempts=1
-            )
-        # Free the bank's per-tick sample arrays before the next
-        # block's capacity pass allocates on top of them.
-        del bank
+            yield index, _RowState(measured_mbps=float(mbps), attempts=1)
+
+
+def _flood_bank(service, subset: Dataset, pending, seed: int):
+    """One BTS-APP bank over rows ``pending``: each row's bandwidth and
+    outcome, and the seconds the bank took."""
+    envs = [row_environment(subset, index, seed) for index in pending]
+    started = time.perf_counter()
+    results = service.run_bank(envs)
+    bank_s = time.perf_counter() - started
+    return (
+        [result.bandwidth_mbps for result in results],
+        [result.outcome for result in results],
+        bank_s,
+    )
+
+
+def _session_bank(service, subset: Dataset, pending, seed: int):
+    """One loopback bank over rows ``pending``: each row's bandwidth
+    and outcome, and the seconds the bank took.  Only the bandwidth
+    array outlives the call; the bank's per-tick sample arrays are
+    freed before the next block's capacity pass."""
+    from repro.core.sessionbank import run_session_bank
+
+    capacities = row_capacities(subset, pending, seed, service.max_duration_s)
+    started = time.perf_counter()
+    bank = run_session_bank(
+        service.model,
+        capacities,
+        server_capacity_mbps=SERVER_CAPACITY_MBPS,
+        max_duration_s=service.max_duration_s,
+    )
+    bank_s = time.perf_counter() - started
+    return (
+        bank.bandwidth_mbps,
+        [bank.outcome(pos) for pos in range(len(pending))],
+        bank_s,
+    )
 
 
 # -- shared report assembly ------------------------------------------------

@@ -16,6 +16,7 @@ from typing import Dict, Iterable, List
 
 from repro.netsim.flow import Flow
 from repro.netsim.link import Link
+from repro.units import serial_sum
 
 #: Allocation precision in Mbps; increments below this terminate filling.
 _EPSILON = 1e-9
@@ -78,7 +79,7 @@ class Network:
                 sharing = [f for f in link.flows if f in unfrozen]
                 if not sharing:
                     continue
-                used = sum(f.allocated_mbps for f in link.flows)
+                used = serial_sum(f.allocated_mbps for f in link.flows)
                 residual = capacities[link] - used
                 increment = min(increment, residual / len(sharing))
             # Limit from demands: a capped flow stops at its demand.
@@ -97,7 +98,7 @@ class Network:
                 if flow.effective_demand - flow.allocated_mbps <= _EPSILON:
                     newly_frozen.add(flow)
             for link in self.links:
-                used = sum(f.allocated_mbps for f in link.flows)
+                used = serial_sum(f.allocated_mbps for f in link.flows)
                 if capacities[link] - used <= _EPSILON:
                     newly_frozen.update(f for f in link.flows if f in unfrozen)
             if not newly_frozen:

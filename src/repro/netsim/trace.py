@@ -42,9 +42,12 @@ GRID_STEP_S = 0.05
 
 def positive_capacity(base_mbps: float) -> float:
     """``base_mbps`` as a float; the ``ValueError`` every trace raises
-    for a capacity that is not positive."""
-    if base_mbps <= 0:
-        raise ValueError(f"capacity must be positive, got {base_mbps}")
+    for a capacity that is not positive and finite (NaN, a blank CSV
+    cell, included)."""
+    if not (base_mbps > 0 and math.isfinite(base_mbps)):
+        raise ValueError(
+            f"capacity must be positive and finite, got {base_mbps}"
+        )
     return float(base_mbps)
 
 
@@ -210,6 +213,12 @@ class FluctuatingTrace(CapacityTrace):
             [self.base_mbps], [self.sigma], [x0], shocks[None, :],
             tau_s, floor_fraction,
         )[0]
+
+    @property
+    def grid(self) -> np.ndarray:
+        """The pre-drawn capacities, one every :data:`GRID_STEP_S`
+        from time 0; :meth:`capacity_at` interpolates between them."""
+        return self._grid
 
     def capacity_at(self, time_s: float) -> float:
         t = time_s % self.duration_s

@@ -27,17 +27,29 @@ from repro.tcp.reno import Reno
 _SUSTAIN_SLICES = 5
 
 
+#: The congestion-control algorithms :func:`make_cc` builds, matched
+#: case-insensitively.
+CC_NAMES = ("reno", "cubic", "bbr")
+
+
+def check_cc_name(name: str) -> str:
+    """``name`` when :func:`make_cc` accepts it; ``ValueError``
+    otherwise.  Services check their ``cc_name`` at construction, so a
+    bad name fails before any test runs."""
+    if name.lower() not in CC_NAMES:
+        raise ValueError(f"unknown congestion control algorithm: {name!r}")
+    return name
+
+
 def make_cc(name: str, rng: Optional[np.random.Generator] = None) -> CongestionControl:
-    """Build a congestion-control instance by name (``reno``, ``cubic``,
-    ``bbr``)."""
-    normalized = name.lower()
+    """Build a congestion-control instance by name (one of
+    :data:`CC_NAMES`)."""
+    normalized = check_cc_name(name).lower()
     if normalized == "reno":
         return Reno()
     if normalized == "cubic":
         return Cubic(rng=rng)
-    if normalized == "bbr":
-        return BBR()
-    raise ValueError(f"unknown congestion control algorithm: {name!r}")
+    return BBR()
 
 
 @dataclass

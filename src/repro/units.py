@@ -15,7 +15,10 @@ the single place to change if a different convention is ever needed.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
+from typing import Iterable
 
 BITS_PER_BYTE = 8
 MEGA = 1_000_000
@@ -73,6 +76,18 @@ def linear_to_db(ratio: float) -> float:
     if ratio <= 0:
         raise ValueError(f"ratio must be positive to express in dB, got {ratio}")
     return 10.0 * math.log10(ratio)
+
+
+def serial_sum(values: Iterable[float]) -> float:
+    """``((0.0 + v0) + v1) + ...``: floats added one at a time, left to
+    right.
+
+    Builtin ``sum`` of floats is compensated from Python 3.12 on
+    (Neumaier summation), so its last bits depend on the interpreter.
+    Simulation sums whose bits must replay on every version use this
+    instead; it equals ``sum`` of Python 3.11 and earlier bit for bit.
+    """
+    return functools.reduce(operator.add, values, 0.0)
 
 
 def clamp(value: float, low: float, high: float) -> float:

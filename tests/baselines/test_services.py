@@ -156,3 +156,18 @@ def test_all_flooding_services_fail_cleanly_on_dead_pool():
         assert result.bandwidth_mbps == 0.0
         assert result.samples == []
         assert "NoReachableServerError" in result.meta["error"]
+
+
+FLOOD_SERVICES = ("bts-app", "speedtest", "fast", "fastbts", "tcp-swiftest")
+
+
+@pytest.mark.parametrize("name", FLOOD_SERVICES)
+def test_flood_services_check_cc_name_at_construction(name):
+    """A misspelt algorithm fails when the service is built, not in
+    every row's run (where a campaign would retry and quarantine it)."""
+    from repro.core.variants import create_bandwidth_test
+
+    with pytest.raises(ValueError, match="unknown congestion control"):
+        create_bandwidth_test(name, cc_name="cubik")
+    for cc_name in ("reno", "cubic", "bbr"):
+        assert create_bandwidth_test(name, cc_name=cc_name).cc_name == cc_name

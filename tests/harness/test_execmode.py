@@ -113,24 +113,86 @@ def test_vectorized_requires_bankable_test(contexts):
     with pytest.raises(ValueError, match="bankable"):
         run_campaign(
             contexts,
-            CampaignConfig(seed=1, max_tests=4, test="bts-app",
+            CampaignConfig(seed=1, max_tests=4, test="speedtest",
                            mode="vectorized"),
         )
     with pytest.raises(ValueError, match="bankable"):
         run_campaign(
             contexts,
-            CampaignConfig(seed=1, max_tests=4, test="bts-app",
+            CampaignConfig(seed=1, max_tests=4, test="speedtest",
                            n_shards=2, mode="vectorized"),
         )
 
 
 def test_bankable_service_predicate():
+    from repro.baselines.btsapp import BtsApp
+    from repro.core.registry import BandwidthModelRegistry
     from repro.core.variants import LoopbackSwiftest, create_bandwidth_test
 
     assert bankable_service(LoopbackSwiftest())
     # A service pinned to its per-packet oracle loop must stay serial.
     assert not bankable_service(LoopbackSwiftest(mode="oracle"))
-    assert not bankable_service(create_bandwidth_test("bts-app"))
+    for cc_name in ("cubic", "reno", "bbr"):
+        assert bankable_service(
+            create_bandwidth_test("bts-app", cc_name=cc_name)
+        )
+
+    class TweakedBtsApp(BtsApp):
+        """A subclass may change what a run does: never banked."""
+
+    assert not bankable_service(TweakedBtsApp())
+    # Floods with a stop check, and the fitted-model client.
+    for name in ("speedtest", "fast", "fastbts", "tcp-swiftest"):
+        assert not bankable_service(create_bandwidth_test(name)), name
+    assert not bankable_service(
+        create_bandwidth_test("swiftest", registry=BandwidthModelRegistry())
+    )
+
+
+def _btsapp_config(mode, n_shards=1, **kwargs):
+    return CampaignConfig(
+        seed=17, max_tests=12, test="bts-app", n_shards=n_shards,
+        mode=mode, **kwargs,
+    )
+
+
+def test_banked_btsapp_campaign_is_byte_identical_to_oracle(contexts):
+    """BTS-APP rows through the flood bank, serial or sharded, equal
+    the per-row engine's rows."""
+    oracle = run_campaign(contexts, _btsapp_config("oracle"))
+    assert oracle.n_measured == 12
+    for mode in ("auto", "vectorized"):
+        for n_shards in (1, 3):
+            banked = run_campaign(contexts, _btsapp_config(mode, n_shards))
+            datasets_identical(oracle.dataset, banked.dataset)
+            assert banked.retries == 0
+
+
+def test_banked_btsapp_resumes_an_oracle_checkpoint(contexts, tmp_path):
+    """An oracle run killed part-way resumes through the flood bank into
+    the bytes of an uninterrupted run."""
+
+    class Interrupted(Exception):
+        pass
+
+    def stop_after_five(progress):
+        if progress.done == 5:
+            raise Interrupted
+
+    ckpt = tmp_path / "run.ckpt"
+    with pytest.raises(Interrupted):
+        run_campaign(
+            contexts,
+            _btsapp_config("oracle", checkpoint_path=ckpt,
+                           checkpoint_every=1),
+            on_progress=stop_after_five,
+        )
+    resumed = run_campaign(
+        contexts, _btsapp_config("auto", checkpoint_path=ckpt), resume=True
+    )
+    assert 0 < resumed.resumed_rows < 12
+    whole = run_campaign(contexts, _btsapp_config("auto"))
+    datasets_identical(whole.dataset, resumed.dataset)
 
 
 def test_loopback_ignores_row_fault_plans(contexts, monkeypatch):

@@ -13,7 +13,7 @@ from repro.baselines.common import (
     TestOutcome,
 )
 from repro.core.variants import LoopbackSwiftest
-from repro.dataset.records import SCHEMA
+from repro.dataset.records import SCHEMA, Dataset
 from repro.dataset.sampling import demo_campaign
 from repro.harness.config import CampaignConfig
 from repro.harness.parallel import (
@@ -305,3 +305,28 @@ def test_in_process_run_starts_no_worker(contexts, monkeypatch):
     monkeypatch.setattr(parallel, "_mp_context", no_workers)
     report = run_campaign(contexts, config_with(n_shards=1))
     assert report.n_measured == len(contexts)
+
+
+@pytest.mark.parametrize("n_shards", [1, 2])
+@pytest.mark.parametrize("mode", ["oracle", "auto"])
+@pytest.mark.parametrize("test", ["bts-app", "swiftest-loopback"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_bandwidth_fails_before_any_row(contexts, monkeypatch,
+                                                   test, mode, n_shards,
+                                                   bad):
+    """A context with no usable capacity fails the whole campaign with
+    one ValueError, before any row runs or any worker starts, in every
+    mode and at every shard count."""
+    import repro.harness.parallel as parallel
+
+    def no_workers():
+        raise AssertionError("no worker may start")
+
+    monkeypatch.setattr(parallel, "_mp_context", no_workers)
+    columns = {
+        name: np.array(contexts.column(name), copy=True) for name in SCHEMA
+    }
+    columns["bandwidth_mbps"][5] = bad
+    config = CampaignConfig(seed=3, test=test, mode=mode, n_shards=n_shards)
+    with pytest.raises(ValueError, match="positive and finite"):
+        run_campaign(Dataset(columns), config)

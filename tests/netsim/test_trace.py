@@ -10,6 +10,7 @@ from repro.netsim.trace import (
     FluctuatingTrace,
     ShapedTrace,
     SteppedTrace,
+    positive_capacity,
 )
 
 
@@ -22,6 +23,15 @@ def test_constant_trace_is_constant():
 def test_constant_trace_rejects_nonpositive():
     with pytest.raises(ValueError):
         ConstantTrace(0.0)
+
+
+@pytest.mark.parametrize("capacity", [math.nan, math.inf, -math.inf])
+def test_positive_capacity_rejects_non_finite(capacity):
+    # NaN passes a plain ``<= 0`` test; a blank CSV cell loads as NaN.
+    with pytest.raises(ValueError, match="positive and finite"):
+        positive_capacity(capacity)
+    with pytest.raises(ValueError):
+        ConstantTrace(capacity)
 
 
 def test_fluctuating_trace_deterministic_per_time():

@@ -153,6 +153,25 @@ def test_measure_rejects_out_of_range_flag(campaign_csv, capsys, flag,
     assert "Traceback" not in err
 
 
+def test_measure_rejects_blank_bandwidth(campaign_csv, tmp_path, capsys):
+    """A blank bandwidth cell loads as NaN: the campaign fails up front
+    with an error line instead of measuring or quarantining it."""
+    lines = open(campaign_csv).read().splitlines(keepends=True)
+    column = lines[0].rstrip("\n").split(",").index("bandwidth_mbps")
+    cells = lines[1].rstrip("\n").split(",")
+    cells[column] = ""
+    lines[1] = ",".join(cells) + "\n"
+    blank = tmp_path / "blank.csv"
+    blank.write_text("".join(lines[:21]))
+    for extra in ([], ["--mode", "oracle"], ["--shards", "2"]):
+        code = main(["measure", str(blank), "--tests", "20"] + extra)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "positive and finite" in err
+        assert "Traceback" not in err
+
+
 def test_measure_unknown_test_name(campaign_csv, capsys):
     code = main(["measure", campaign_csv, "--test", "warp-drive"])
     assert code == 2

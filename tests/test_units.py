@@ -1,5 +1,7 @@
 """Unit-conversion helpers."""
 
+import math
+
 import pytest
 
 from repro import units
@@ -57,3 +59,14 @@ def test_clamp_empty_interval_rejected():
 def test_sample_interval_is_50ms():
     # The 50 ms cadence is load-bearing across the whole system (§2).
     assert units.SAMPLE_INTERVAL_S == pytest.approx(0.050)
+
+
+def test_serial_sum_adds_left_to_right():
+    values = [1e16, 1.0, -1e16, 0.25]
+    total = 0.0
+    for v in values:
+        total += v
+    assert units.serial_sum(values) == total == 0.25
+    # A compensated sum (Python 3.12's builtin, math.fsum) keeps the 1.0.
+    assert math.fsum(values) == 1.25
+    assert units.serial_sum([]) == 0.0
