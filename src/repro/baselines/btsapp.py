@@ -90,7 +90,8 @@ class BtsApp(BandwidthTestService):
         in lockstep by :func:`~repro.baselines.floodbank.run_flood_bank`.
 
         Raises ``ValueError`` for an environment the bank cannot
-        express, such as one with a fault plan.
+        express, such as one with a fault plan, and for environments
+        that share an RNG.
         """
         floods = run_flood_bank(envs, self.cc_name, PROBE_DURATION_S)
         return [

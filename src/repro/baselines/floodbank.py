@@ -29,7 +29,10 @@ each row's session would have measured, bit for bit:
   keep one implementation each.
 
 A bank models no fault plan (server outages are the session's job) and
-raises ``ValueError`` for an environment that carries one.
+raises ``ValueError`` for an environment that carries one.  It also
+raises ``ValueError`` for environments that share an RNG (the same
+environment twice, or environments built from one generator): the bank
+would interleave their draws, which sequential sessions take in blocks.
 """
 
 from __future__ import annotations
@@ -175,12 +178,18 @@ def run_flood_bank(
     ``TcpFloodSession(envs[k], cc_name).run(duration_s)`` leaves: the
     same samples, ``bytes_used`` and ``servers_used``, with the same
     draws from ``envs[k].rng``.  The environments' networks are not
-    touched.
+    touched.  Raises ``ValueError`` for an environment with a fault
+    plan and for environments that share an RNG.
     """
     if duration_s <= 0:
         raise ValueError(f"duration must be positive, got {duration_s}")
     for env in envs:
         _check_environment(env)
+    if len({id(env.rng) for env in envs}) != len(envs):
+        raise ValueError(
+            "a flood bank needs one RNG per environment; environments "
+            "that share one must run one at a time"
+        )
     n = len(envs)
     shape = (n, _LANES)
     # A lane's RTT is 1.0 until recruited: its demand stays 0.0.

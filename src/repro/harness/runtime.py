@@ -256,10 +256,12 @@ def measure_row(
 #: contract: bank results are invariant to bank size).
 BANK_SIZE = 4096
 
-#: Rows grouped into one lockstep flood bank call.  Smaller than
+#: Rows grouped into one lockstep flood bank call.  Far below
 #: :data:`BANK_SIZE`: a banked BTS-APP row keeps its environment, its
 #: 200 samples and 20 congestion-control objects alive for the whole
-#: bank.  The value never changes results.
+#: bank, about 45 KiB of peak RSS a row, and wider banks stop paying
+#: off here (on a 2-vCPU VM, a 600-row campaign ran fastest at 256 of
+#: bank sizes from 5 to 600).  The value never changes results.
 FLOOD_BANK_SIZE = 256
 
 
@@ -279,15 +281,26 @@ def bankable_service(service) -> bool:
     check (Speedtest, FAST, FastBTS, ``tcp-swiftest``) and fitted
     mixture models among them.
     """
+    return _bank_for(service) is not None
+
+
+def _bank_for(service):
+    """``(run_bank, rows per bank call)`` of the bank that serves
+    ``service``, or ``None`` when its rows run one by one (the rule
+    :func:`bankable_service` documents)."""
     from repro.core.variants import FixedLadderModel, LoopbackSwiftest
     from repro.units import SAMPLE_INTERVAL_S
 
-    return type(service) is BtsApp or (
+    if type(service) is BtsApp:
+        return _flood_bank, FLOOD_BANK_SIZE
+    if (
         isinstance(service, LoopbackSwiftest)
         and isinstance(service.model, FixedLadderModel)
         and service.mode is not ExecutionMode.ORACLE
         and service.max_duration_s > SAMPLE_INTERVAL_S
-    )
+    ):
+        return _session_bank, BANK_SIZE
+    return None
 
 
 def iter_banked_rows(
@@ -331,11 +344,13 @@ def iter_banked_rows(
     taxonomy) and share the bank's wall time evenly across its rows'
     ``campaign.row_wall_s`` observations.
     """
-    metrics = active_registry()
-    flood = type(service) is BtsApp
+    bank = _bank_for(service)
+    if bank is None:
+        raise ValueError(f"{type(service).__name__} cannot be banked")
+    run_bank, default_size = bank
     if bank_size is None:
-        bank_size = FLOOD_BANK_SIZE if flood else BANK_SIZE
-    run_bank = _flood_bank if flood else _session_bank
+        bank_size = default_size
+    metrics = active_registry()
     indices = list(indices)
     for start in range(0, len(indices), bank_size):
         pending = indices[start:start + bank_size]

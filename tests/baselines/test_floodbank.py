@@ -116,6 +116,18 @@ def test_bank_rejects_fault_plans():
         BtsApp().run_bank([env])
 
 
+def test_bank_rejects_environments_sharing_an_rng(contexts):
+    """Sequential runs take each row's draws in a block; a bank would
+    interleave draws from a shared RNG, so it refuses."""
+    env = row_environment(contexts, 0, 7)
+    with pytest.raises(ValueError, match="one RNG per environment"):
+        BtsApp().run_bank([env, env])
+    rng = np.random.default_rng(1)
+    pair = [make_environment(100.0, rng=rng, n_servers=5) for _ in range(2)]
+    with pytest.raises(ValueError, match="one RNG per environment"):
+        BtsApp().run_bank(pair)
+
+
 def test_flood_sums_do_not_depend_on_builtin_sum(contexts, monkeypatch):
     """Python 3.12 made builtin ``sum`` of floats compensated; the
     flood's sums add left to right on every interpreter, so a

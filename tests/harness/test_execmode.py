@@ -149,6 +149,15 @@ def test_bankable_service_predicate():
     )
 
 
+def test_iter_banked_rows_refuses_an_unbankable_service(contexts):
+    from repro.core.variants import create_bandwidth_test
+
+    rows = iter_banked_rows(create_bandwidth_test("speedtest"), contexts,
+                            [0], 1)
+    with pytest.raises(ValueError, match="cannot be banked"):
+        next(rows)
+
+
 def _btsapp_config(mode, n_shards=1, **kwargs):
     return CampaignConfig(
         seed=17, max_tests=12, test="bts-app", n_shards=n_shards,
