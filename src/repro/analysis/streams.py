@@ -29,7 +29,11 @@ than merely close:
   so it is a **Poisson bootstrap** (per-row multiplicities ~
   Poisson(1)) on the counter-based Philox substream fabric: each draw
   is a pure function of ``(seed, SLOT_BOOTSTRAP, word index)``, so any
-  chunking of the rows reads the same words.
+  chunking of the rows reads the same words.  A word's multiplicity is
+  the count of Poisson(1) CDF entries at or below it: compares against
+  the table's head, a binary search only for the rare words past it.
+  That count is the integer a binary search of the whole table
+  returns, so the resample sums see the same floats.
 
 Note these folds use *sequential-sum* semantics.  ``np.mean`` uses
 pairwise summation and will differ in the last ulps — compare the
@@ -43,7 +47,7 @@ from typing import Iterable, Tuple, Union
 import numpy as np
 
 from repro.dataset.records import GroupReduceStream
-from repro.dataset.substreams import SLOT_BOOTSTRAP, uniform_block
+from repro.dataset.substreams import SLOT_BOOTSTRAP, check_seed, uniform_block
 
 __all__ = [
     "BOOTSTRAP_BLOCK_ROWS",
@@ -90,7 +94,17 @@ BOOTSTRAP_BLOCK_ROWS = 1024
 
 #: Poisson(1) multiplicities are inverted through a cumulative table;
 #: P(X > 32) < 1e-36, far below the 2^-53 resolution of the uniforms.
+#: In float64 the table reaches 1.0 at k = 18, so no uniform in
+#: ``[0, 1)`` draws more than 18: :func:`_poisson_multiplicities`
+#: counts into ``int8``.
 _POISSON_MAX_K = 32
+
+#: Head thresholds counted by compares: a uniform at or past the last
+#: of them (P(X >= 5) ~ 0.37%) takes the binary search instead.  On a
+#: 200x1024 block (2-vCPU Xeon VM, numpy 2.4) 5 compares take 0.51 ms,
+#: 4 take 0.69 ms (the 1.9% tail costs more to gather) and 6 take
+#: 0.53 ms; the binary search of every word takes 4.1 ms.
+_POISSON_HEAD = 5
 
 
 def _poisson_cdf_table() -> np.ndarray:
@@ -104,6 +118,27 @@ def _poisson_cdf_table() -> np.ndarray:
 
 
 _POISSON_CDF = _poisson_cdf_table()
+
+
+def _poisson_multiplicities(u: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(_POISSON_CDF, u, side="right")`` as ``int8``.
+
+    The count of table entries at or below ``u``, taken as one
+    in-place ``>=`` compare per head threshold; only the rare
+    uniforms at or past the last head threshold are binary-searched.
+    The counts are exact integers, so they equal the search's.
+    """
+    mult = np.zeros(u.shape, dtype=np.int8)
+    hit = np.empty(u.shape, dtype=bool)
+    for threshold in _POISSON_CDF[:_POISSON_HEAD]:
+        np.greater_equal(u, threshold, out=hit)
+        mult += hit.view(np.int8)
+    tail = np.flatnonzero(hit)  # at or past the last head threshold
+    if len(tail):
+        mult.flat[tail] = np.searchsorted(
+            _POISSON_CDF, u.flat[tail], side="right"
+        )
+    return mult
 
 
 class PoissonBootstrapStream:
@@ -146,7 +181,7 @@ class PoissonBootstrapStream:
             raise ValueError(
                 f"statistic must be 'mean' or 'sum', got {statistic!r}"
             )
-        self.seed = int(seed)
+        self.seed = check_seed(seed)
         self.n_resamples = int(n_resamples)
         self.confidence = float(confidence)
         self.statistic = statistic
@@ -183,7 +218,7 @@ class PoissonBootstrapStream:
             block * self.n_resamples * BOOTSTRAP_BLOCK_ROWS,
             self.n_resamples * blen,
         ).reshape(self.n_resamples, blen)
-        mult = np.searchsorted(_POISSON_CDF, words, side="right")
+        mult = _poisson_multiplicities(words)
         return (mult * rows).sum(axis=1), mult.sum(axis=1)
 
     def _fold(self, rows: np.ndarray) -> None:

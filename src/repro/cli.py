@@ -64,15 +64,30 @@ def _load_or_generate(path: Optional[str], tests: int, seed: int) -> Dataset:
     )
 
 
+def _generation_config(
+    args: argparse.Namespace, n_tests: int
+) -> Optional[GenerationConfig]:
+    """The generation config of ``campaign``/``generate``, or ``None``
+    after an ``error:`` line when a flag is out of range (``--seed``,
+    the test count)."""
+    try:
+        return GenerationConfig(
+            year=args.year, n_tests=n_tests, seed=args.seed,
+            home_path=args.home_path,
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return None
+
+
 # -- subcommands -----------------------------------------------------------
 
 
 def cmd_campaign(args: argparse.Namespace) -> int:
     """Generate a synthetic measurement campaign."""
-    config = GenerationConfig(
-        year=args.year, n_tests=args.tests, seed=args.seed,
-        home_path=args.home_path,
-    )
+    config = _generation_config(args, args.tests)
+    if config is None:
+        return 2
     dataset = generate_campaign(config)
     print(f"generated {len(dataset)} tests (year {args.year}, seed {args.seed})")
     for tech, mean in sorted(dataset.group_mean_bandwidth("tech").items()):
@@ -108,10 +123,9 @@ def cmd_generate(args: argparse.Namespace) -> int:
     if args.format == "npd" and not (args.out or args.store):
         print("error: --format npd needs --out or --store", file=sys.stderr)
         return 2
-    config = GenerationConfig(
-        year=args.year, n_tests=args.n_tests, seed=args.seed,
-        home_path=args.home_path,
-    )
+    config = _generation_config(args, args.n_tests)
+    if config is None:
+        return 2
     chunk_size = args.chunk_size or DEFAULT_CHUNK_SIZE
     out = args.out
     fmt = args.format

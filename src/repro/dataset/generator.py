@@ -259,7 +259,8 @@ class CampaignConfig:
     n_tests:
         Number of test records to generate.
     seed:
-        Root RNG seed; a campaign is fully reproducible from it.
+        Root RNG seed in ``[0, 2**64)``; a campaign is fully
+        reproducible from it.
     refarming:
         Refarming plan in force; defaults to the 2021 plan for 2021
         campaigns and none for 2020.
@@ -311,6 +312,7 @@ class CampaignConfig:
             )
         if self.n_tests <= 0:
             raise ValueError(f"n_tests must be positive, got {self.n_tests}")
+        ss.check_seed(self.seed)
         if self.refarming is None and self.year >= 2021:
             self.refarming = REFARMING_2021
 

@@ -49,7 +49,15 @@ def _resolve_special():
 #: Philox words per counter increment (Philox4x64 emits 4 words).
 _WORDS_PER_BLOCK = 4
 
-_MASK64 = (1 << 64) - 1
+
+def check_seed(seed: int) -> int:
+    """``seed`` as an int, or ``ValueError`` unless it fits the 64-bit
+    Philox key word, ``[0, 2**64)``."""
+    seed = int(seed)
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+    return seed
+
 
 # -- slot registry -----------------------------------------------------
 #
@@ -104,7 +112,10 @@ def uniform_block(seed: int, slot: int, start: int, count: int) -> np.ndarray:
     """
     if start < 0 or count < 0:
         raise ValueError(f"need start >= 0 and count >= 0, got {start}, {count}")
-    bitgen = np.random.Philox(key=(seed & _MASK64, slot & _MASK64))
+    # A uint64 array: numpy would carry a tuple holding an int >= 2**63
+    # through float64 and drop the key's low bits.
+    key = np.array([check_seed(seed), slot], dtype=np.uint64)
+    bitgen = np.random.Philox(key=key)
     blocks, offset = divmod(start, _WORDS_PER_BLOCK)
     if blocks:
         bitgen.advance(blocks)

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import json
 import platform
 import subprocess
@@ -70,9 +71,14 @@ def manifest_path_for(checkpoint_path: Union[str, Path]) -> Path:
     return checkpoint_path.with_name(checkpoint_path.name + ".manifest.json")
 
 
+@functools.lru_cache(maxsize=None)
 def _git_describe() -> Optional[str]:
     """``git describe --always --dirty`` of the source tree, if the
-    tree is a git checkout and git is installed."""
+    tree is a git checkout and git is installed.
+
+    Runs once per process: every manifest describes the tree as the
+    process first saw it (one subprocess, one index refresh).
+    """
     try:
         out = subprocess.run(
             ["git", "describe", "--always", "--dirty", "--tags"],

@@ -9,6 +9,8 @@ the positioned reads of a mapped ``.npd`` payload) must produce
 literally the same floats.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -23,13 +25,18 @@ from repro.analysis.longitudinal import (
     stream_group_means,
 )
 from repro.analysis.streams import (
+    _POISSON_CDF,
+    _POISSON_HEAD,
+    BOOTSTRAP_BLOCK_ROWS,
     GroupReduceStream,
     MeanStream,
     PoissonBootstrapStream,
+    _poisson_multiplicities,
     poisson_bootstrap_ci,
 )
 from repro.dataset.generator import CampaignConfig, generate_campaign
 from repro.dataset.records import Dataset
+from repro.dataset.substreams import SLOT_BOOTSTRAP, uniform_block
 
 from .reference import group_means_by_pair, group_reduce, poisson_bootstrap
 
@@ -228,6 +235,61 @@ def test_bootstrap_stream_equals_oracle(campaign, mapped_campaign, statistic):
         ) == expected
 
 
+@pytest.mark.parametrize("statistic", ["mean", "sum"])
+def test_bootstrap_stream_equals_oracle_at_1000_resamples(campaign, statistic):
+    """The default resample count over 1025 rows: the tail block holds
+    a single row."""
+    values = campaign.bandwidth[:BOOTSTRAP_BLOCK_ROWS + 1]
+    expected = poisson_bootstrap(
+        values, seed=8, n_resamples=1000, statistic=statistic
+    )
+    for chunks in (values, [values[:700], values[700:]]):
+        assert poisson_bootstrap_ci(
+            chunks, seed=8, n_resamples=1000, statistic=statistic
+        ) == expected
+
+
+def _assert_kernel_is_the_search(u):
+    mult = _poisson_multiplicities(u)
+    expected = np.searchsorted(_POISSON_CDF, u, side="right")
+    assert mult.shape == expected.shape
+    assert mult.tolist() == expected.tolist()
+    return mult
+
+
+def test_multiplicities_at_the_table_edges():
+    """Each entry, its neighbours on both sides, 0.0 and the largest
+    double below 1.0 (which draws the table's maximum, 18)."""
+    below_one = np.nextafter(1.0, 0.0)
+    u = np.concatenate([
+        _POISSON_CDF,
+        np.nextafter(_POISSON_CDF, 0.0),
+        np.nextafter(_POISSON_CDF, 2.0),
+        [0.0, below_one],
+    ])
+    mult = _assert_kernel_is_the_search(u)
+    assert mult[-2:].tolist() == [0, 18]
+
+
+def test_multiplicities_on_philox_blocks():
+    """Words as the stream reads them, flat and as ``(R, blen)`` blocks;
+    the set holds a block with no uniform past the compared head and
+    one with a multiplicity of 8 or more."""
+    head = _POISSON_CDF[_POISSON_HEAD - 1]
+    tailless = large = 0
+    for seed in range(5):
+        for shape in ((7, 9), (200, 1024), (150, 928)):
+            words = uniform_block(
+                seed, SLOT_BOOTSTRAP, seed * shape[0] * BOOTSTRAP_BLOCK_ROWS,
+                shape[0] * shape[1],
+            )
+            _assert_kernel_is_the_search(words)
+            mult = _assert_kernel_is_the_search(words.reshape(shape))
+            tailless += not (words >= head).any()
+            large += mult.max() >= 8
+    assert tailless and large
+
+
 @pytest.mark.parametrize("split", [1, 512, 1024, 1027, 2999])
 def test_bootstrap_chunking_invariant(campaign, split):
     values = campaign.bandwidth[:3000]
@@ -266,6 +328,25 @@ def test_bootstrap_interval_brackets_point_estimate(campaign):
     # +-1.96 standard errors; the bootstrap's width is within 2x of it.
     normal_width = 2 * 1.96 * values.std() / np.sqrt(len(values))
     assert 0.5 * normal_width < high - low < 2 * normal_width
+
+
+def test_bootstrap_seeds_past_2_63_differ(campaign):
+    values = campaign.bandwidth[:50]
+    assert poisson_bootstrap_ci(values, seed=2 ** 63) != poisson_bootstrap_ci(
+        values, seed=2 ** 63 + 1
+    )
+
+
+def test_bootstrap_largest_seed_runs_without_a_cast_warning(campaign):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        poisson_bootstrap_ci(campaign.bandwidth[:50], seed=2 ** 64 - 1)
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 64])
+def test_bootstrap_rejects_seed_outside_64_bits(seed):
+    with pytest.raises(ValueError, match="seed must be in"):
+        PoissonBootstrapStream(seed=seed)
 
 
 def test_bootstrap_validation_errors():

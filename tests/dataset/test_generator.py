@@ -6,6 +6,8 @@ material.  The *orderings* (who is faster than whom) are the paper's
 claims and are asserted strictly.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -41,6 +43,25 @@ def test_different_seeds_differ():
     a = generate_campaign(CampaignConfig(n_tests=500, seed=9))
     b = generate_campaign(CampaignConfig(n_tests=500, seed=10))
     assert not np.array_equal(a.bandwidth, b.bandwidth)
+
+
+def test_neighbouring_seeds_past_2_63_differ():
+    a = generate_campaign(CampaignConfig(n_tests=300, seed=2 ** 63))
+    b = generate_campaign(CampaignConfig(n_tests=300, seed=2 ** 63 + 1))
+    assert list(a.column("tech")) != list(b.column("tech"))
+
+
+def test_largest_seed_generates_without_a_cast_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        ds = generate_campaign(CampaignConfig(n_tests=50, seed=2 ** 64 - 1))
+    assert len(ds) == 50
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 64])
+def test_config_rejects_seed_outside_64_bits(seed):
+    with pytest.raises(ValueError, match="seed must be in"):
+        CampaignConfig(seed=seed)
 
 
 def test_row_count_and_positive_bandwidth(campaign_2021):

@@ -1,5 +1,7 @@
 """Counter-based substream contract (the dataset engine's RNG core)."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -41,6 +43,28 @@ def test_streams_differ_across_slots_and_seeds():
 def test_uniform_block_range():
     u = ss.uniform_block(3, 3, 0, 10_000)
     assert (u >= 0.0).all() and (u < 1.0).all()
+
+
+def test_seeds_past_2_63_keep_their_low_key_bits():
+    """Neighbouring seeds >= 2**63 name different streams: the key
+    never passes through float64, which would round them together."""
+    high = 2 ** 63
+    assert not np.array_equal(
+        ss.uniform_block(high, 0, 0, 32), ss.uniform_block(high + 1, 0, 0, 32)
+    )
+
+
+def test_largest_seed_runs_without_a_cast_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        u = ss.uniform_block(2 ** 64 - 1, 128, 5, 16)
+    assert len(u) == 16
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 64])
+def test_uniform_block_rejects_seed_outside_64_bits(seed):
+    with pytest.raises(ValueError, match="seed must be in"):
+        ss.uniform_block(seed, 0, 0, 4)
 
 
 def test_ppf_normal_matches_generator_distribution():

@@ -7,6 +7,7 @@ import pytest
 
 from repro.harness.config import CampaignConfig
 from repro.harness.runtime import CampaignReport
+from repro.obs import manifest as manifest_module
 from repro.obs.manifest import (
     MANIFEST_VERSION,
     ManifestError,
@@ -70,6 +71,24 @@ def test_describe_versions_fields():
     versions = describe_versions()
     assert set(versions) >= {"repro", "python", "numpy", "git"}
     assert versions["repro"]  # non-empty package version
+
+
+def test_git_state_is_described_once_per_process(monkeypatch):
+    """Manifests share one ``git describe``: a loop of campaigns starts
+    no subprocess (and no index refresh) per manifest."""
+    calls = []
+    real_run = manifest_module.subprocess.run
+
+    def counting_run(*args, **kwargs):
+        calls.append(args)
+        return real_run(*args, **kwargs)
+
+    monkeypatch.setattr(manifest_module.subprocess, "run", counting_run)
+    manifest_module._git_describe.cache_clear()
+    first = build_campaign_manifest(CampaignConfig(), make_report())
+    second = build_campaign_manifest(CampaignConfig(), make_report())
+    assert len(calls) == 1
+    assert first["versions"]["git"] == second["versions"]["git"]
 
 
 def test_manifest_path_for_is_checkpoint_sibling():

@@ -153,6 +153,23 @@ def test_measure_rejects_out_of_range_flag(campaign_csv, capsys, flag,
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, field", [
+    (["campaign", "--tests", "0"], "n_tests"),
+    (["campaign", "--tests", "10", "--seed", "-5"], "seed"),
+    (["campaign", "--tests", "10", "--seed", "-1"], "seed"),
+    (["campaign", "--tests", "10", "--seed", str(2 ** 64)], "seed"),
+    (["generate", "--n-tests", "0"], "n_tests"),
+    (["generate", "--n-tests", "10", "--seed", "-5"], "seed"),
+    (["generate", "--n-tests", "10", "--seed", str(2 ** 64)], "seed"),
+])
+def test_generation_rejects_out_of_range_flag(capsys, argv, field):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert field in err
+    assert "Traceback" not in err
+
+
 def test_measure_rejects_blank_bandwidth(campaign_csv, tmp_path, capsys):
     """A blank bandwidth cell loads as NaN: the campaign fails up front
     with an error line instead of measuring or quarantining it."""
