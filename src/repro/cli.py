@@ -28,7 +28,9 @@ arguments and returns an exit code, so tests drive it directly.
 :class:`repro.harness.config.CampaignConfig` and hands it to
 :func:`repro.harness.parallel.run_campaign`, the one campaign driver,
 whatever ``--shards`` says; the bandwidth test is a name in the
-registry (:func:`repro.core.variants.create_bandwidth_test`).  (The
+registry (:func:`repro.core.variants.create_bandwidth_test`).
+``--shards`` caps the worker processes; the run forks only as many as
+its rows pay for, and says how many it forked.  (The
 *generation* config of :mod:`repro.dataset.generator` is a different,
 older class that shares the name — it is imported here under the
 ``GenerationConfig`` alias.)
@@ -318,8 +320,11 @@ def cmd_measure(args: argparse.Namespace) -> int:
         # positive and finite (a blank CSV cell loads as NaN).
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if config.n_shards > 1:
-        print(f"sharded across {config.n_shards} worker(s)")
+    if report.workers:
+        print(f"sharded across {report.workers} worker(s)")
+    elif config.n_shards > 1:
+        print(f"in-process: too few rows for {config.n_shards} shards "
+              f"to pay for a worker")
     if report.resumed_rows:
         print(f"resumed {report.resumed_rows} row(s) from {args.checkpoint}")
     print(f"measured {report.n_measured}/{report.n_rows} rows "
@@ -372,6 +377,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     print(f"  seed {manifest.get('seed')}  "
           f"test {manifest.get('config', {}).get('test', '?')}  "
           f"shards {run.get('n_shards', '?')}  "
+          f"workers {run.get('workers', '?')}  "
           f"repro {versions.get('repro', '?')}"
           + (f"  git {versions['git']}" if versions.get("git") else ""))
     if run:
@@ -1211,8 +1217,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-attempts", type=int, default=3,
                    help="tries per row before quarantining it")
     p.add_argument("--shards", type=int, default=1,
-                   help="worker processes (results are identical for "
-                        "any shard count)")
+                   help="at most this many worker processes: a run "
+                        "forks only as many as its rows pay for "
+                        "(results are identical for any count)")
     p.add_argument("--test", default="bts-app",
                    help="registry name of the bandwidth test to run "
                         "per row")

@@ -9,8 +9,11 @@ campaign sizes so future PRs inherit a perf trajectory in
   (``mode='oracle'``), i.e. what campaigns cost before the sharded
   engine landed;
 * **sharded** — the current default: lockstep session banks
-  (:mod:`repro.core.sessionbank`) fanned out across
-  :func:`repro.harness.parallel.run_campaign` shard workers.
+  (:mod:`repro.core.sessionbank`) under
+  :func:`repro.harness.parallel.run_campaign` with up to
+  :data:`DEFAULT_SHARDS` shard workers.  ``n_shards`` is a cap, and a
+  banked loopback worker pays for itself only past 2,048 rows, so at
+  the default sizes the run forks none.
 
 Both paths run the same frozen
 :class:`~repro.harness.config.CampaignConfig` recipe apart from those
@@ -59,7 +62,7 @@ from repro.harness.parallel import run_campaign
 #: job runs only the smallest.
 DEFAULT_SIZES: Tuple[int, ...] = (16, 48, 96)
 
-#: Shard count of the "after" configuration.
+#: Shard cap (``n_shards``) of the "after" configuration.
 DEFAULT_SHARDS = 8
 
 #: Seed of the seeded demo campaign.

@@ -112,8 +112,12 @@ class CampaignConfig:
     checkpoint_every:
         Rows finished between checkpoint flushes.
     n_shards:
-        Worker processes the rows fan out over; ``1`` runs in-process.
-        Any value yields bit-identical datasets.
+        Upper bound on the worker processes the rows fan out over.
+        A run forks only as many as the rows left to measure pay for
+        (the executor's rows per worker, see
+        :func:`repro.harness.runtime.executor_for`), and at one or
+        fewer runs in-process; ``1`` always does.  Any value yields
+        bit-identical datasets.
     manifest_path:
         Where the run manifest (seed, config, merged metric snapshot,
         outcome counts — see :mod:`repro.obs.manifest`) is written.

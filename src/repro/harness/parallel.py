@@ -1,4 +1,4 @@
-"""The campaign driver: :func:`run_campaign`, serial or sharded.
+"""The campaign driver: :func:`run_campaign`, in-process or sharded.
 
 A measured campaign takes each generated context, builds its simulated
 environment, runs the configured bandwidth test over it under
@@ -10,39 +10,45 @@ run one.  Every run goes through the same steps:
 * **Subset and fingerprint.**  The config's ``(seed, max_tests)``
   resolve the rows (:func:`repro.harness.collection.campaign_subset`);
   the fingerprint ties a checkpoint to exactly that campaign.
-* **One row loop** (:func:`_measure_rows`).  It picks the executor —
-  a lockstep bank, the flood bank for BTS-APP or the session bank for
-  the loopback (:func:`repro.harness.runtime.iter_banked_rows`), or
-  per-row :func:`repro.harness.runtime.measure_row` — per
-  :class:`~repro.execmode.ExecutionMode`, and flushes a checkpoint
-  every ``checkpoint_every`` finished rows and once more on every exit
-  path, a crash or kill included.
+* **One executor rule** (:func:`repro.harness.runtime.executor_for`).
+  The service and :class:`~repro.execmode.ExecutionMode` pick what
+  runs the rows — the flood bank for BTS-APP, the session bank for
+  the loopback, or per-row :func:`repro.harness.runtime.measure_row`
+  — and with it how many rows a forked worker needs to pay for itself.
+* **One row loop** (:func:`_measure_rows`).  It runs that executor a
+  batch at a time (one bank, or one row on the per-row engine), and
+  flushes a checkpoint every ``checkpoint_every`` finished rows and
+  once more on every exit path, a crash or kill included.
 * **One finish step** (:func:`_finish`).  It sets the rows/s gauge,
   writes the run manifest and ingests the run into the store, when the
   config asks for either.
 
-``config.n_shards == 1`` runs the row loop in-process, checkpointing
-straight to ``checkpoint_path``.  More shards fork one worker per
-shard; each worker runs the same row loop over its rows into
+``config.n_shards`` is an upper bound.  The run forks
+``min(n_shards, rows left // rows per worker)`` workers, the
+executor's measured crossover; at one or fewer the row loop runs
+in-process, checkpointing straight to ``checkpoint_path``.  Otherwise
+each worker runs the same row loop over its rows into
 ``<checkpoint>.shard-<k>``:
 
 * **Sharding never changes results.**  A row belongs to shard
-  ``crc32(seed bytes + row bytes) % n_shards`` (:func:`shard_of`) — a
+  ``crc32(seed bytes + row bytes) % workers`` (:func:`shard_of`) — a
   pure function of the campaign seed and the row's global subset index.
   Since every per-row decision is itself a pure function of
   ``(seed, row, attempt)`` (see
   :func:`repro.harness.collection.row_environment`), *where* a row
-  executes is invisible to *what* it produces: any shard count yields
+  executes is invisible to *what* it produces: any worker count yields
   byte-identical datasets and identical quarantine sets.
 * **Shard checkpoints are ordinary checkpoints.**  They use the one
   checkpoint codec with *global* row indices and the campaign
   fingerprint; the supervisor merges them (dict union keyed by row
-  index) into the main checkpoint, which any later run resumes from,
-  whatever its shard count.
-* **Progress streaming.**  Workers push per-row events onto a queue;
-  the supervisor folds them into per-shard :class:`ShardProgress`
+  index) into the main checkpoint.  A resume reads every
+  ``.shard-<k>`` file beside the checkpoint, whatever worker count
+  wrote it, and a successful run leaves only the main checkpoint.
+* **Progress streaming.**  Workers push one event per finished batch
+  (a bank, or one row on the per-row engine) carrying its counts; the
+  supervisor folds them into per-shard :class:`ShardProgress`
   counters and forwards each update to the optional ``on_progress``
-  callback.  In-process runs report the same way, as shard 0.
+  callback.  In-process runs report the same batches, as shard 0.
 
 Workers are rebuilt from data, not shared objects: a shard receives
 the subset's raw columns and the frozen
@@ -53,18 +59,19 @@ and service locally.  That keeps the engine correct under both
 
 from __future__ import annotations
 
+import glob
 import multiprocessing as mp
 import operator
 import queue as queue_mod
+import re
 import struct
 import time
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.dataset.records import Dataset, SCHEMA
-from repro.execmode import ExecutionMode
 from repro.harness import runtime
 from repro.harness.collection import campaign_subset
 from repro.harness.config import CampaignConfig
@@ -73,9 +80,9 @@ from repro.harness.runtime import (
     _RowState,
     _state_from_json,
     _state_to_json,
-    bankable_service,
     build_report,  # noqa: F401 - a trace site of benchmarks/pipeline
     campaign_fingerprint,
+    executor_for,
     ingest_report,
     iter_banked_rows,
     load_checkpoint,
@@ -114,15 +121,28 @@ def shard_of(seed: int, row: int, n_shards: int) -> int:
     the seed's unsigned little-endian bytes, 8 of them below ``2**64``
     and as many as it needs above, so any non-negative seed has a
     shard; below ``2**63`` those are the bytes of a signed 64-bit
-    seed.
+    seed.  CRC is affine, so for a power-of-two ``n_shards`` the seed
+    only relabels one fixed partition of the rows: with two shards,
+    rows 0 and 1 always share one.
     """
     if n_shards < 1:
         raise ValueError(f"n_shards must be >= 1, got {n_shards}")
+    return zlib.crc32(_ROW_KEY.pack(row), _seed_crc(seed)) % n_shards
+
+
+#: A row's bytes in the shard hash.
+_ROW_KEY = struct.Struct("<q")
+
+
+def _seed_crc(seed: int) -> int:
+    """The CRC of the seed's bytes, which :func:`shard_of` continues
+    over each row's bytes (``crc32(b, crc32(a)) == crc32(a + b)``)."""
     seed = operator.index(seed)
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
-    key = seed.to_bytes(max(8, (seed.bit_length() + 7) // 8), "little")
-    return zlib.crc32(key + struct.pack("<q", row)) % n_shards
+    return zlib.crc32(
+        seed.to_bytes(max(8, (seed.bit_length() + 7) // 8), "little")
+    )
 
 
 def shard_checkpoint_path(base: Path, shard_id: int) -> Path:
@@ -142,12 +162,11 @@ class ShardProgress:
     retries: int = 0
     finished: bool = False
 
-    def record(self, attempts: int, quarantined: bool) -> None:
-        """Count one finished row."""
-        self.done += 1
-        self.retries += max(0, attempts - 1)
-        if quarantined:
-            self.quarantined += 1
+    def fold(self, rows: int, retries: int, quarantined: int) -> None:
+        """Count one finished batch: a bank, or a single row."""
+        self.done += rows
+        self.retries += retries
+        self.quarantined += quarantined
 
 
 # -- the row loop ----------------------------------------------------------
@@ -161,43 +180,77 @@ def _measure_rows(
     rows: Dict[int, _RowState],
     fingerprint: Dict,
     checkpoint_path: Optional[Path],
-    on_row: Callable[[_RowState], None],
+    on_batch: Callable[[int, int, int], None],
 ) -> int:
     """Measure ``indices`` into ``rows``; return the checkpoint flushes.
 
-    Rows go through a lockstep bank unless the mode is ``oracle`` or
-    the service cannot be banked; either way their results are
-    byte-identical (the oracle contract).  ``rows`` is flushed to
-    ``checkpoint_path`` every ``config.checkpoint_every`` finished rows
-    and once more on every exit path — normal completion, a service
-    bug, or a kill — so a resume never loses finished rows.
+    Rows run on the executor :func:`~repro.harness.runtime.executor_for`
+    picks, a batch at a time: a lockstep bank, or one row on the
+    per-row engine; either way their results are byte-identical (the
+    oracle contract).  Each finished batch reports its
+    ``(rows, retries, quarantined)`` counts to ``on_batch``.  ``rows``
+    is flushed to ``checkpoint_path`` every ``config.checkpoint_every``
+    finished rows and once more on every exit path — normal
+    completion, a service bug, or a kill — so a resume never loses
+    finished rows.
     """
-    if config.mode is not ExecutionMode.ORACLE and bankable_service(service):
-        results = iter_banked_rows(service, subset, indices, config.seed)
-    else:
-        results = (
-            (i, measure_row(service, config.retry, subset, i, config.seed))
+    if executor_for(service, config.mode).run_bank is None:
+        batches = (
+            [(i, measure_row(service, config.retry, subset, i, config.seed))]
             for i in indices
         )
+    else:
+        batches = iter_banked_rows(service, subset, indices, config.seed)
     flushes = 0
     since_flush = 0
     try:
-        for index, state in results:
-            rows[index] = state
-            on_row(state)
-            since_flush += 1
-            if (
-                checkpoint_path is not None
-                and since_flush >= config.checkpoint_every
-            ):
-                write_checkpoint(checkpoint_path, fingerprint, rows)
-                flushes += 1
-                since_flush = 0
+        for batch in batches:
+            retries = quarantined = 0
+            for index, state in batch:
+                rows[index] = state
+                retries += state.attempts - 1
+                quarantined += state.quarantine is not None
+                since_flush += 1
+                if (
+                    checkpoint_path is not None
+                    and since_flush >= config.checkpoint_every
+                ):
+                    write_checkpoint(checkpoint_path, fingerprint, rows)
+                    flushes += 1
+                    since_flush = 0
+            on_batch(len(batch), retries, quarantined)
     finally:
         if checkpoint_path is not None and since_flush > 0:
             write_checkpoint(checkpoint_path, fingerprint, rows)
             flushes += 1
     return flushes
+
+
+def _plan_workers(
+    config: CampaignConfig, todo: List[int], rows_per_worker: int
+) -> Dict[int, List[int]]:
+    """The rows of each worker to fork, by shard id; empty when the run
+    stays in-process.
+
+    ``config.n_shards`` is an upper bound: each worker needs
+    ``rows_per_worker`` rows to pay for itself, the executor's
+    measured crossover (see :class:`~repro.harness.runtime.Executor`).
+    Rows go to ``shard_of(seed, i, workers)``, the seed's CRC taken
+    once.  A shard the hash leaves empty forks nothing, and a plan
+    left with one worker runs in-process, which costs less and gives
+    the same bytes.
+    """
+    workers = min(config.n_shards, len(todo) // rows_per_worker)
+    if workers <= 1:
+        return {}
+    seed_crc = _seed_crc(config.seed)
+    pending: Dict[int, List[int]] = {}
+    for i in todo:
+        shard = zlib.crc32(_ROW_KEY.pack(i), seed_crc) % workers
+        pending.setdefault(shard, []).append(i)
+    if len(pending) <= 1:
+        return {}
+    return dict(sorted(pending.items()))
 
 
 # -- the driver ------------------------------------------------------------
@@ -212,16 +265,21 @@ def run_campaign(
 ) -> CampaignReport:
     """Measure a campaign per its config.
 
-    ``config.n_shards`` only decides where rows run: the report is
-    byte-identical for any shard count — datasets, quarantine sets,
-    accounted backoff, attribution.  With ``resume=True`` completed
-    rows are restored from the checkpoint (and, for a sharded run, its
-    surviving ``.shard-<k>`` files) instead of re-measured.  A
-    checkpoint from a *different* campaign raises
+    ``config.n_shards`` caps the worker processes; the run forks only
+    as many as the rows left to measure pay for (see
+    :func:`_plan_workers`), and none below two, and reports the count
+    as ``report.workers``.  Where rows run never changes the report:
+    it is byte-identical for any worker count — datasets, quarantine
+    sets, accounted backoff, attribution.  With ``resume=True``
+    completed rows are restored from the checkpoint and every
+    ``.shard-<k>`` file beside it, whatever worker count wrote them,
+    instead of re-measured.  A checkpoint or shard file from a
+    *different* campaign raises
     :class:`~repro.harness.runtime.CheckpointError`; a truncated or
     corrupt one raises
     :class:`~repro.harness.runtime.CorruptCheckpointError` unless
-    ``salvage=True`` drops the damaged tail and re-measures it.
+    ``salvage=True`` drops the damaged tail and re-measures it.  A
+    successful run leaves the merged main checkpoint and no shard file.
 
     When a manifest destination resolves (explicit
     ``config.manifest_path``, or the checkpoint's sibling) or the
@@ -232,14 +290,8 @@ def run_campaign(
     """
     started = time.perf_counter()
     service = config.make_test()
-    if config.mode is ExecutionMode.VECTORIZED and not bankable_service(
-        service
-    ):
-        raise ValueError(
-            f"mode='vectorized' requires a bankable test "
-            f"(bts-app, or swiftest-loopback on a fixed ladder), got "
-            f"{service.name!r}; use mode='auto' or 'oracle'"
-        )
+    # Raises for mode='vectorized' with a test no bank serves.
+    executor = executor_for(service, config.mode)
     subset = campaign_subset(
         contexts, seed=config.seed, max_tests=config.max_tests
     )
@@ -251,11 +303,14 @@ def run_campaign(
     fingerprint = campaign_fingerprint(
         subset, config.seed, config.max_tests, service.name
     )
+    ckpt = config.checkpoint_path
     rows: Dict[int, _RowState] = {}
-    if resume and config.checkpoint_path is not None:
-        rows = _load_progress(config, fingerprint, salvage)
+    merges = 0
+    if resume and ckpt is not None:
+        rows, merges = _load_progress(ckpt, fingerprint, salvage)
     resumed_rows = sum(1 for s in rows.values() if s.done)
     todo = [i for i in range(len(subset)) if not (i in rows and rows[i].done)]
+    pending = _plan_workers(config, todo, executor.rows_per_worker)
 
     recorded = (
         config.resolved_manifest_path() is not None
@@ -267,16 +322,22 @@ def run_campaign(
         else None
     )
     with use_registry(own_registry):
-        if config.n_shards == 1:
-            progress, checkpoints_written = _run_in_process(
+        if pending:
+            progress, shards = _run_shards(
+                config, subset, pending, rows, fingerprint, on_progress,
+                started,
+            )
+            flushes = int(ckpt is not None)
+        else:
+            progress, flushes = _run_in_process(
                 service, config, subset, todo, rows, fingerprint, on_progress
             )
             shards = None
-        else:
-            progress, shards = _run_shards(
-                config, subset, todo, rows, fingerprint, on_progress, started
-            )
-            checkpoints_written = int(config.checkpoint_path is not None)
+        if ckpt is not None:
+            # The main checkpoint holds every row: shard files, this
+            # run's or a stale layout's, are redundant.
+            for path in _shard_files(ckpt):
+                path.unlink(missing_ok=True)
         # Looked up on its own module at call time, where the pipeline
         # benchmark's digest-gate test substitutes a perturbed builder.
         report = runtime.build_report(
@@ -284,29 +345,49 @@ def run_campaign(
             rows,
             resumed_rows,
             sum(p.retries for p in progress.values()),
-            checkpoints_written,
+            merges + flushes,
         )
+        report.workers = len(pending)
         _finish(config, report, time.perf_counter() - started, shards)
     return report
 
 
+def _shard_files(ckpt: Path) -> List[Path]:
+    """Every ``<ckpt>.shard-<k>`` file beside ``ckpt``, whatever worker
+    count wrote it; an atomic write's ``.tmp`` never matches."""
+    name = re.compile(re.escape(ckpt.name) + r"\.shard-[0-9]+")
+    return sorted(
+        path
+        for path in ckpt.parent.glob(glob.escape(ckpt.name) + ".shard-*")
+        if name.fullmatch(path.name)
+    )
+
+
 def _load_progress(
-    config: CampaignConfig, fingerprint: Dict, salvage: bool
-) -> Dict[int, _RowState]:
-    """Rows finished by earlier runs: the main checkpoint, plus the
-    ``.shard-<k>`` files a killed sharded run left behind."""
-    ckpt = config.checkpoint_path
+    ckpt: Path, fingerprint: Dict, salvage: bool
+) -> Tuple[Dict[int, _RowState], int]:
+    """Rows finished by earlier runs: the main checkpoint plus every
+    shard file a killed sharded run left, and the checkpoint flushes
+    spent (0 or 1).
+
+    Shard files are folded into the main checkpoint, and removed,
+    before any row runs: the workers of this run overwrite
+    ``.shard-<k>`` files, and a kill must not lose the rows they held.
+    """
     rows = load_checkpoint(ckpt, fingerprint, salvage=salvage)
-    if config.n_shards > 1:
-        for shard_id in range(config.n_shards):
-            shard_rows = load_checkpoint(
-                shard_checkpoint_path(ckpt, shard_id), fingerprint,
-                salvage=salvage,
-            )
-            for index, state in shard_rows.items():
-                if state.done:
-                    rows.setdefault(index, state)
-    return rows
+    shard_files = _shard_files(ckpt)
+    for path in shard_files:
+        for index, state in load_checkpoint(
+            path, fingerprint, salvage=salvage
+        ).items():
+            if state.done:
+                rows.setdefault(index, state)
+    if not shard_files:
+        return rows, 0
+    write_checkpoint(ckpt, fingerprint, rows)
+    for path in shard_files:
+        path.unlink()
+    return rows, 1
 
 
 def _run_in_process(
@@ -326,15 +407,15 @@ def _run_in_process(
     """
     progress = ShardProgress(shard_id=0, n_rows=len(todo))
 
-    def on_row(state: _RowState) -> None:
-        progress.record(state.attempts, state.quarantine is not None)
+    def on_batch(*counts: int) -> None:
+        progress.fold(*counts)
         if on_progress is not None:
             on_progress(progress)
 
     with span("campaign.serial"):
         flushes = _measure_rows(
             service, config, subset, todo, rows, fingerprint,
-            config.checkpoint_path, on_row,
+            config.checkpoint_path, on_batch,
         )
     progress.finished = True
     if on_progress is not None:
@@ -387,7 +468,8 @@ def _shard_worker(
     """One worker process: run the row loop over this shard's rows.
 
     The worker flushes ``checkpoint_path`` like any in-process run and
-    reports every row, then a final ``done`` event carrying its rows
+    reports the counts of every finished batch (a bank, or one row on
+    the per-row engine), then a final ``done`` event carrying its rows
     (and any error).  With ``instrument=True`` it records into its own
     process-local :class:`~repro.obs.metrics.MetricsRegistry` and
     ships the snapshot back inside the ``done`` event, so the
@@ -399,18 +481,15 @@ def _shard_worker(
     rows: Dict[int, _RowState] = {}
     started = time.perf_counter()
 
-    def on_row(state: _RowState) -> None:
-        events.put((
-            "progress", shard_id, state.attempts,
-            state.quarantine is not None,
-        ))
+    def on_batch(*counts: int) -> None:
+        events.put(("progress", shard_id) + counts)
 
     error = None
     try:
         with use_registry(registry):
             _measure_rows(
                 service, config, subset, row_indices, rows, fingerprint,
-                checkpoint_path, on_row,
+                checkpoint_path, on_batch,
             )
     except BaseException as exc:
         error = f"{type(exc).__name__}: {exc}"
@@ -448,31 +527,26 @@ def _mp_context():
 def _run_shards(
     config: CampaignConfig,
     subset: Dataset,
-    todo: List[int],
+    pending: Dict[int, List[int]],
     rows: Dict[int, _RowState],
     fingerprint: Dict,
     on_progress: Optional[Callable[[ShardProgress], None]],
     started: float,
 ):
-    """Fan ``todo`` out over ``config.n_shards`` worker processes and
-    fold their rows into ``rows``.
+    """Fork one worker per shard of ``pending`` and fold their rows
+    into ``rows``.
 
     Returns the per-shard progress and the manifest's per-shard rows.
     With a checkpoint configured, the shard files are merged into the
     main checkpoint — also when a worker failed, so a resume loses at
-    most ``checkpoint_every - 1`` rows per shard — and removed once
-    the run succeeds.  Worker metric snapshots are folded into the
-    active registry in **shard-id order**, never arrival order, so the
-    merged snapshot is reproducible run to run.
+    most ``checkpoint_every - 1`` rows per shard.  Worker metric
+    snapshots are folded into the active registry in **shard-id
+    order**, never arrival order, so the merged snapshot is
+    reproducible run to run.
     """
-    n_shards = config.n_shards
     ckpt = config.checkpoint_path
     metrics = active_registry()
     instrument = not isinstance(metrics, NullRegistry)
-
-    pending: Dict[int, List[int]] = {k: [] for k in range(n_shards)}
-    for i in todo:
-        pending[shard_of(config.seed, i, n_shards)].append(i)
     progress = {
         k: ShardProgress(shard_id=k, n_rows=len(indices))
         for k, indices in pending.items()
@@ -483,9 +557,6 @@ def _run_shards(
     columns = {name: subset.column(name) for name in SCHEMA}
     workers = {}
     for shard_id, indices in pending.items():
-        if not indices:
-            progress[shard_id].finished = True
-            continue
         proc = ctx.Process(
             target=_shard_worker,
             args=(
@@ -508,12 +579,12 @@ def _run_shards(
         workers[shard_id] = proc
 
     errors: List[str] = []
-    finished = {k for k, p in progress.items() if p.finished}
+    finished = set()
     #: Per-shard metric snapshots and wall-clock, keyed by shard id.
     shard_snapshots: Dict[int, Dict] = {}
     shard_elapsed: Dict[int, float] = {}
     try:
-        while len(finished) < n_shards:
+        while len(finished) < len(workers):
             try:
                 event = events.get(timeout=_POLL_S)
             except queue_mod.Empty:
@@ -531,7 +602,7 @@ def _run_shards(
             kind, shard_id = event[0], event[1]
             snap = progress[shard_id]
             if kind == "progress":
-                snap.record(event[2], event[3])
+                snap.fold(*event[2:])
             else:
                 _, _, raw_rows, error, metrics_snapshot = event
                 for index, entry in raw_rows.items():
@@ -574,13 +645,6 @@ def _run_shards(
         raise RuntimeError(
             "sharded campaign failed: " + "; ".join(errors)
         )
-
-    if ckpt is not None:
-        # Successful merge: the shard files are now redundant.
-        for shard_id in range(n_shards):
-            shard_file = shard_checkpoint_path(ckpt, shard_id)
-            if shard_file.exists():
-                shard_file.unlink()
 
     with span("campaign.merge_metrics", shards=len(shard_snapshots)):
         for shard_id in sorted(shard_snapshots):

@@ -48,7 +48,7 @@ import time
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Callable, Dict, List, Optional, Union
 
 import numpy as np
 
@@ -73,12 +73,17 @@ __all__ = [
     "CampaignReport",
     "CheckpointError",
     "CorruptCheckpointError",
+    "Executor",
+    "FLOOD_BANK_ROWS_PER_WORKER",
     "FLOOD_BANK_SIZE",
+    "PER_ROW_ROWS_PER_WORKER",
     "QuarantinedRow",
     "RetryPolicy",
+    "SESSION_BANK_ROWS_PER_WORKER",
     "bankable_service",
     "build_report",
     "campaign_fingerprint",
+    "executor_for",
     "iter_banked_rows",
     "load_checkpoint",
     "ingest_report",
@@ -149,6 +154,9 @@ class CampaignReport:
         (:func:`repro.core.attribution.attribution_summary`, including
         agreement against the generator's ground-truth ``bottleneck``
         column); ``None`` when nothing was measured.
+    workers:
+        Shard worker processes the run forked; ``0`` when it ran
+        in-process.
     """
 
     dataset: Optional[Dataset]
@@ -161,6 +169,7 @@ class CampaignReport:
     checkpoints_written: int = 0
     store_run_id: Optional[str] = None
     attribution: Optional[Dict] = None
+    workers: int = 0
 
     @property
     def n_quarantined(self) -> int:
@@ -264,6 +273,32 @@ BANK_SIZE = 4096
 #: bank sizes from 5 to 600).  The value never changes results.
 FLOOD_BANK_SIZE = 256
 
+# Rows a forked shard worker needs before it pays for itself, one
+# constant per executor (see :class:`Executor`).  A run of N rows forks
+# at most N // rows_per_worker workers.  Each table is a campaign's
+# wall time over 2 forced workers divided by in-process, the median of
+# 5-9 paired runs with no store, on a 2-vCPU VM, with workers sending
+# one progress event per bank.  None of these values changes results.
+
+#: Session-bank (banked loopback) rows per worker.  Campaign rows:
+#: 600: 1.42, 1200: 1.23, 1600: 1.01, 2048: 0.92-0.97, 2400: 0.88,
+#: 3200: 0.90, 4096: 0.74-0.79, 9600: 0.84, 10000: 0.68, 30000: 0.66.
+#: Two workers break even near 1600 rows and pay reliably from 4096.
+SESSION_BANK_ROWS_PER_WORKER = 2048
+
+#: Flood-bank (banked BTS-APP) rows per worker.  Campaign rows:
+#: 8: 1.06, 12: 0.94, 16: 0.99, 24: 0.87, 32: 0.88, 64: 0.68,
+#: 128: 0.65.  Two workers break even near 16 rows.
+FLOOD_BANK_ROWS_PER_WORKER = 16
+
+#: Per-row engine rows per worker.  Campaign rows: BTS-APP ``oracle``
+#: 4: 0.62, 8: 0.67; Speedtest 4: 0.62.  Two rows never split over
+#: two shards (see :func:`repro.harness.parallel.shard_of`), so 4 is
+#: the smallest measurable size.  The per-row loopback pays only near
+#: 256 rows (4: 4.88, 16: 2.18, 64: 1.17, 256: 0.89) but shares this
+#: floor, as it forked at any size before workers were counted.
+PER_ROW_ROWS_PER_WORKER = 2
+
 
 def bankable_service(service) -> bool:
     """Whether ``service`` can execute rows through a lockstep bank.
@@ -277,30 +312,62 @@ def bankable_service(service) -> bool:
     :class:`~repro.core.sessionbank.SessionBank`, unless the service
     itself is pinned to its per-packet ``oracle`` interval loop (the
     perf benchmark's serial baseline must stay serial).  Everything
-    else takes the per-row engine: the flood services with a stop
-    check (Speedtest, FAST, FastBTS, ``tcp-swiftest``) and fitted
-    mixture models among them.
+    else takes the per-row engine: Speedtest, whose fixed 15 s Cubic
+    flood no bank serves yet; FAST, FastBTS and ``tcp-swiftest``,
+    which stop early; and fitted mixture models.  This is the
+    ``auto`` case of :func:`executor_for`.
     """
-    return _bank_for(service) is not None
+    return executor_for(service, ExecutionMode.AUTO).run_bank is not None
 
 
-def _bank_for(service):
-    """``(run_bank, rows per bank call)`` of the bank that serves
-    ``service``, or ``None`` when its rows run one by one (the rule
-    :func:`bankable_service` documents)."""
+@dataclass(frozen=True)
+class Executor:
+    """What runs a campaign's rows, and when forking pays for it.
+
+    ``run_bank`` measures one bank of rows (``None`` for the per-row
+    engine, :func:`measure_row`); ``bank_size`` is the rows per bank
+    call.  ``rows_per_worker`` is the measured size below which a
+    forked shard worker costs more than it saves, so
+    :func:`repro.harness.parallel.run_campaign` forks at most
+    ``rows left // rows_per_worker`` workers.
+    """
+
+    run_bank: Optional[Callable]
+    bank_size: int
+    rows_per_worker: int
+
+
+def executor_for(service, mode) -> Executor:
+    """The executor that runs ``service``'s rows under ``mode``.
+
+    The one rule every campaign path reads: the row loop picks its
+    executor here, :func:`bankable_service` is its ``auto`` case, and
+    the driver sizes its fan-out from the executor's
+    ``rows_per_worker``.  ``oracle`` always takes the per-row engine;
+    ``auto`` takes a bank when one serves the service;
+    ``vectorized`` demands one and raises ``ValueError`` otherwise.
+    """
     from repro.core.variants import FixedLadderModel, LoopbackSwiftest
     from repro.units import SAMPLE_INTERVAL_S
 
-    if type(service) is BtsApp:
-        return _flood_bank, FLOOD_BANK_SIZE
-    if (
-        isinstance(service, LoopbackSwiftest)
-        and isinstance(service.model, FixedLadderModel)
-        and service.mode is not ExecutionMode.ORACLE
-        and service.max_duration_s > SAMPLE_INTERVAL_S
-    ):
-        return _session_bank, BANK_SIZE
-    return None
+    mode = ExecutionMode.coerce(mode)
+    if mode is not ExecutionMode.ORACLE:
+        if type(service) is BtsApp:
+            return _FLOOD_BANK
+        if (
+            isinstance(service, LoopbackSwiftest)
+            and isinstance(service.model, FixedLadderModel)
+            and service.mode is not ExecutionMode.ORACLE
+            and service.max_duration_s > SAMPLE_INTERVAL_S
+        ):
+            return _SESSION_BANK
+    if mode is ExecutionMode.VECTORIZED:
+        raise ValueError(
+            f"mode='vectorized' requires a bankable test "
+            f"(bts-app, or swiftest-loopback on a fixed ladder), got "
+            f"{service.name!r}; use mode='auto' or 'oracle'"
+        )
+    return _PER_ROW
 
 
 def iter_banked_rows(
@@ -310,8 +377,8 @@ def iter_banked_rows(
     seed: int,
     bank_size: Optional[int] = None,
 ):
-    """Measure ``indices`` through a lockstep bank, yielding
-    ``(index, _RowState)`` as rows finish.
+    """Measure ``indices`` through a lockstep bank, yielding each bank's
+    rows as a list of ``(index, _RowState)`` once the bank finishes.
 
     The batched counterpart of calling :func:`measure_row` per index
     for a :func:`bankable_service`: rows are packed ``bank_size`` at a
@@ -336,32 +403,37 @@ def iter_banked_rows(
     shaped link's throttle is clamped to ``(0, base]``), and a
     fault-free BTS-APP flood always converges.
 
-    Rows are yielded in ``indices`` order, one bank at a time; per-row
-    results are order-free by construction.
+    Banks are yielded in ``indices`` order, rows in ``indices`` order
+    within each; per-row results are order-free by construction.
 
     Metrics parity: banked rows record the same per-row counters as
     :func:`measure_row` (rows measured, zero retries, the outcome
     taxonomy) and share the bank's wall time evenly across its rows'
     ``campaign.row_wall_s`` observations.
     """
-    bank = _bank_for(service)
-    if bank is None:
+    executor = executor_for(service, ExecutionMode.AUTO)
+    if executor.run_bank is None:
         raise ValueError(f"{type(service).__name__} cannot be banked")
-    run_bank, default_size = bank
     if bank_size is None:
-        bank_size = default_size
+        bank_size = executor.bank_size
     metrics = active_registry()
     indices = list(indices)
     for start in range(0, len(indices), bank_size):
         pending = indices[start:start + bank_size]
-        bandwidth, outcomes, bank_s = run_bank(service, subset, pending, seed)
+        bandwidth, outcomes, bank_s = executor.run_bank(
+            service, subset, pending, seed
+        )
         per_row_s = bank_s / len(pending)
+        batch = []
         for index, mbps, outcome in zip(pending, bandwidth, outcomes):
             metrics.counter("campaign.rows_measured").inc()
             metrics.counter("campaign.retries").inc(0)
             metrics.counter(f"campaign.outcome.{outcome.value}").inc()
             metrics.histogram("campaign.row_wall_s").observe(per_row_s)
-            yield index, _RowState(measured_mbps=float(mbps), attempts=1)
+            batch.append(
+                (index, _RowState(measured_mbps=float(mbps), attempts=1))
+            )
+        yield batch
 
 
 def _flood_bank(service, subset: Dataset, pending, seed: int):
@@ -399,6 +471,15 @@ def _session_bank(service, subset: Dataset, pending, seed: int):
         [bank.outcome(pos) for pos in range(len(pending))],
         bank_s,
     )
+
+
+_FLOOD_BANK = Executor(
+    _flood_bank, FLOOD_BANK_SIZE, FLOOD_BANK_ROWS_PER_WORKER
+)
+_SESSION_BANK = Executor(
+    _session_bank, BANK_SIZE, SESSION_BANK_ROWS_PER_WORKER
+)
+_PER_ROW = Executor(None, 1, PER_ROW_ROWS_PER_WORKER)
 
 
 # -- shared report assembly ------------------------------------------------

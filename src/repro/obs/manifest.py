@@ -17,7 +17,7 @@ Manifests are plain JSON with a versioned schema::
       "seed": ..., "config": {...}, "versions": {...},
       "run": {"n_rows": ..., "n_measured": ..., "n_quarantined": ...,
                "retries": ..., "resumed_rows": ..., "elapsed_s": ...,
-               "rows_per_s": ..., "n_shards": ...},
+               "rows_per_s": ..., "n_shards": ..., "workers": ...},
       "outcomes": {"converged": ..., "timeout": ..., ...},
       "shards": [{"shard_id": ..., "rows": ..., "elapsed_s": ...,
                    "rows_per_s": ..., "retries": ..., "quarantined": ...}],
@@ -150,7 +150,9 @@ def build_campaign_manifest(
         Merged :meth:`~repro.obs.metrics.MetricsRegistry.to_dict`
         snapshot (shards folded in shard-id order).
     shards:
-        Per-shard accounting rows (sharded runs only).
+        Per-shard accounting rows, one per forked worker (none for an
+        in-process run).  ``run.n_shards`` echoes the requested cap
+        and ``run.workers`` the workers forked.
     elapsed_s:
         Supervisor wall-clock for the whole run.
     """
@@ -182,6 +184,7 @@ def build_campaign_manifest(
             "elapsed_s": elapsed_s,
             "rows_per_s": rows_per_s,
             "n_shards": config.n_shards,
+            "workers": report.workers,
         },
         "outcomes": outcomes,
         "attribution": getattr(report, "attribution", None),

@@ -23,7 +23,11 @@ def measure(ds, n_shards=1, seed=21, mode="auto"):
 
 
 def test_attribution_byte_identical_across_shards(contexts):
-    reports = {n: measure(contexts, n_shards=n) for n in (1, 2, 8)}
+    """300 banked rows never fork, so the sharded runs are per-row."""
+    reports = {1: measure(contexts)}
+    for n in (2, 8):
+        reports[n] = measure(contexts, n_shards=n, mode="oracle")
+        assert reports[n].workers == n
     base = reports[1]
     assert base.attribution is not None
     for n in (2, 8):
@@ -77,10 +81,11 @@ def test_manifest_carries_attribution(tmp_path, contexts):
 
     manifest_path = tmp_path / "run.manifest.json"
     report = run_campaign(contexts, CampaignConfig(
-        seed=21, test="swiftest-loopback", n_shards=2,
+        seed=21, test="swiftest-loopback", n_shards=2, mode="oracle",
         manifest_path=manifest_path,
     ))
     manifest = load_manifest(manifest_path)
+    assert manifest["run"]["workers"] == 2
     assert manifest["attribution"] == report.attribution
     assert manifest["attribution"]["n_attributed"] > 0
 

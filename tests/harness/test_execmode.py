@@ -18,7 +18,11 @@ from repro.dataset.records import SCHEMA
 from repro.execmode import ExecutionMode
 from repro.harness.config import CampaignConfig
 from repro.harness.parallel import run_campaign
-from repro.harness.runtime import bankable_service, iter_banked_rows
+from repro.harness.runtime import (
+    FLOOD_BANK_ROWS_PER_WORKER,
+    bankable_service,
+    iter_banked_rows,
+)
 
 
 @pytest.fixture(scope="module")
@@ -99,11 +103,14 @@ def _config(mode, n_shards=1, **kwargs):
 
 def test_banked_campaign_is_byte_identical_to_oracle(contexts):
     """The acceptance property: auto (banked), vectorized and oracle
-    runs produce the same dataset bytes, serial or sharded."""
+    runs produce the same dataset bytes, in-process or over workers.
+    48 banked rows never fork, so the sharded run is per-row."""
     oracle = run_campaign(contexts, _config("oracle"))
     banked = run_campaign(contexts, _config("auto"))
     forced = run_campaign(contexts, _config("vectorized"))
-    sharded = run_campaign(contexts, _config("auto", n_shards=3))
+    sharded = run_campaign(contexts, _config("oracle", n_shards=3))
+    assert sharded.workers == 3
+    assert banked.workers == forced.workers == 0
     datasets_identical(oracle.dataset, banked.dataset)
     datasets_identical(oracle.dataset, forced.dataset)
     datasets_identical(oracle.dataset, sharded.dataset)
@@ -159,22 +166,31 @@ def test_iter_banked_rows_refuses_an_unbankable_service(contexts):
 
 
 def _btsapp_config(mode, n_shards=1, **kwargs):
+    kwargs.setdefault("max_tests", 12)
     return CampaignConfig(
-        seed=17, max_tests=12, test="bts-app", n_shards=n_shards,
-        mode=mode, **kwargs,
+        seed=17, test="bts-app", n_shards=n_shards, mode=mode, **kwargs,
     )
 
 
 def test_banked_btsapp_campaign_is_byte_identical_to_oracle(contexts):
-    """BTS-APP rows through the flood bank, serial or sharded, equal
-    the per-row engine's rows."""
-    oracle = run_campaign(contexts, _btsapp_config("oracle"))
-    assert oracle.n_measured == 12
+    """BTS-APP rows through the flood bank, in-process or over workers,
+    equal the per-row engine's rows.  The campaign holds two workers'
+    worth of banked rows, so three shards fork two banked workers; the
+    per-row reference forks too."""
+    n_rows = 2 * FLOOD_BANK_ROWS_PER_WORKER
+    oracle = run_campaign(
+        contexts, _btsapp_config("oracle", 2, max_tests=n_rows)
+    )
+    assert oracle.n_measured == n_rows
+    assert oracle.workers == 2
     for mode in ("auto", "vectorized"):
         for n_shards in (1, 3):
-            banked = run_campaign(contexts, _btsapp_config(mode, n_shards))
+            banked = run_campaign(
+                contexts, _btsapp_config(mode, n_shards, max_tests=n_rows)
+            )
             datasets_identical(oracle.dataset, banked.dataset)
             assert banked.retries == 0
+            assert banked.workers == (0 if n_shards == 1 else 2)
 
 
 def test_banked_btsapp_resumes_an_oracle_checkpoint(contexts, tmp_path):
@@ -231,7 +247,8 @@ def test_loopback_ignores_row_fault_plans(contexts, monkeypatch):
 
 
 def test_iter_banked_rows_bank_size_is_invisible(contexts):
-    """Any bank_size partition yields the same per-row states."""
+    """Any bank_size partition yields the same per-row states, one
+    list per bank in ``indices`` order."""
     from repro.core.variants import LoopbackSwiftest
     from repro.harness.collection import campaign_subset
 
@@ -240,12 +257,14 @@ def test_iter_banked_rows_bank_size_is_invisible(contexts):
     indices = list(range(len(subset)))
 
     def states(bank_size):
-        return {
-            i: s.measured_mbps
-            for i, s in iter_banked_rows(
-                service, subset, indices, seed=13, bank_size=bank_size,
-            )
-        }
+        banks = list(iter_banked_rows(
+            service, subset, indices, seed=13, bank_size=bank_size,
+        ))
+        assert [i for bank in banks for i, _ in bank] == indices
+        assert [len(bank) for bank in banks[:-1]] == (
+            [bank_size] * (len(banks) - 1)
+        )
+        return {i: s.measured_mbps for bank in banks for i, s in bank}
 
     reference = states(4096)
     assert states(1) == reference

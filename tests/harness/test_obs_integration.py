@@ -1,5 +1,10 @@
 """Observability instrumentation end to end: byte-identical datasets,
-deterministic shard merges, manifests next to checkpoints."""
+deterministic shard merges, manifests next to checkpoints.
+
+The sharded runs here are BTS-APP campaigns of 8-24 rows, which the
+flood bank measures in-process whatever ``n_shards`` says; they run
+the per-row engine (``mode="oracle"``) so they fork real workers.
+"""
 
 import json
 
@@ -17,6 +22,11 @@ from repro.obs.metrics import MetricsRegistry, use_registry
 @pytest.fixture(scope="module")
 def contexts():
     return demo_campaign(40, seed=404)
+
+
+def sharded(**kwargs):
+    """A BTS-APP config whose rows fork per-row workers."""
+    return CampaignConfig(mode="oracle", **kwargs)
 
 
 def datasets_identical(a, b):
@@ -38,23 +48,23 @@ def test_instrumented_sharded_run_is_byte_identical(contexts, tmp_path):
     manifest_path = tmp_path / "run.manifest.json"
     instrumented = run_campaign(
         contexts,
-        CampaignConfig(
-            seed=3, max_tests=16, n_shards=8, manifest_path=manifest_path
-        ),
+        sharded(seed=3, max_tests=16, n_shards=8, manifest_path=manifest_path),
     )
     datasets_identical(plain.dataset, instrumented.dataset)
-    assert manifest_path.exists()
+    manifest = load_manifest(manifest_path)
+    assert manifest["run"]["workers"] == instrumented.workers > 1
+    assert len(manifest["shards"]) == instrumented.workers
 
 
 def test_sharded_manifest_shard_rows_sum_to_max_tests(contexts, tmp_path):
     manifest_path = tmp_path / "run.manifest.json"
-    config = CampaignConfig(
+    config = sharded(
         seed=3, max_tests=24, n_shards=8, manifest_path=manifest_path
     )
     report = run_campaign(contexts, config)
     manifest = load_manifest(manifest_path)
     shards = manifest["shards"]
-    assert len(shards) == 8
+    assert len(shards) == manifest["run"]["workers"] == 8
     assert sum(s["rows"] for s in shards) == 24
     assert manifest["run"]["n_rows"] == 24
     assert manifest["run"]["n_shards"] == 8
@@ -77,24 +87,42 @@ def test_serial_manifest_lands_next_to_checkpoint(contexts, tmp_path):
     manifest = load_manifest(manifest_path_for(ckpt))
     assert manifest["run"]["n_measured"] == report.n_measured
     assert manifest["run"]["n_shards"] == 1
+    assert manifest["run"]["workers"] == 0
+    assert manifest["shards"] == []
     assert manifest["seed"] == 5
     assert manifest["metrics"]["campaign.rows_measured"]["value"] == 8
 
 
 def test_sharded_manifest_lands_next_to_checkpoint(contexts, tmp_path):
     ckpt = tmp_path / "sharded.ckpt"
-    config = CampaignConfig(
+    config = sharded(
         seed=5, max_tests=12, n_shards=4, checkpoint_path=ckpt
     )
     run_campaign(contexts, config)
     manifest = load_manifest(manifest_path_for(ckpt))
+    assert manifest["run"]["workers"] == 4
     assert sum(s["rows"] for s in manifest["shards"]) == 12
+
+
+def test_small_banked_run_records_no_workers(contexts, tmp_path):
+    """``run.n_shards`` echoes the request; ``run.workers`` says what
+    forked, and ``shards`` lists only forked workers."""
+    manifest_path = tmp_path / "run.manifest.json"
+    report = run_campaign(contexts, CampaignConfig(
+        seed=3, max_tests=12, n_shards=4, manifest_path=manifest_path
+    ))
+    manifest = load_manifest(manifest_path)
+    assert report.workers == 0
+    assert manifest["run"]["n_shards"] == 4
+    assert manifest["run"]["workers"] == 0
+    assert manifest["shards"] == []
 
 
 def test_unmanifested_run_stays_dark(contexts, tmp_path):
     """No manifest destination, no caller registry: nothing written,
     nothing recorded."""
-    run_campaign(contexts, CampaignConfig(seed=3, max_tests=8, n_shards=2))
+    report = run_campaign(contexts, sharded(seed=3, max_tests=8, n_shards=2))
+    assert report.workers == 2
     assert list(tmp_path.iterdir()) == []
 
 
@@ -117,8 +145,9 @@ def test_caller_registry_receives_merged_shard_metrics(contexts):
     reg = MetricsRegistry()
     with use_registry(reg):
         report = run_campaign(
-            contexts, CampaignConfig(seed=3, max_tests=16, n_shards=4)
+            contexts, sharded(seed=3, max_tests=16, n_shards=4)
         )
+    assert report.workers == 4
     assert reg.counter("campaign.rows_measured").value == report.n_measured
     assert reg.counter("parallel.shard.rows").value == 16
     assert reg.histogram("campaign.row_wall_s").count == 16
@@ -129,9 +158,7 @@ def test_manifest_json_loads_plainly(contexts, tmp_path):
     manifest_path = tmp_path / "m.json"
     run_campaign(
         contexts,
-        CampaignConfig(
-            seed=3, max_tests=8, n_shards=2, manifest_path=manifest_path
-        ),
+        sharded(seed=3, max_tests=8, n_shards=2, manifest_path=manifest_path),
     )
     with open(manifest_path) as handle:
         manifest = json.load(handle)

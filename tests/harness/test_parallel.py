@@ -1,5 +1,13 @@
 """run_campaign across shard counts: identity, checkpoint merge,
-progress."""
+progress, and how many workers a run forks.
+
+``n_shards`` is an upper bound: a run forks only as many workers as
+its executor's rows per worker justify.  Banked loopback campaigns of
+a few dozen rows therefore run in-process whatever ``n_shards`` says,
+so the tests that exist to exercise real workers reach them through
+the per-row engine (``mode="oracle"``, or an unbankable test service)
+or through their size, and assert the forked count.
+"""
 
 import json
 import os
@@ -21,6 +29,13 @@ from repro.harness.parallel import (
     shard_checkpoint_path,
     shard_of,
 )
+from repro.harness.runtime import (
+    FLOOD_BANK_ROWS_PER_WORKER,
+    PER_ROW_ROWS_PER_WORKER,
+    SESSION_BANK_ROWS_PER_WORKER,
+    CheckpointError,
+)
+from repro.obs.manifest import load_manifest
 
 
 @pytest.fixture(scope="module")
@@ -71,6 +86,16 @@ def config_with(**kwargs):
     return CampaignConfig(**defaults)
 
 
+def per_row_workers(seed, n_rows, n_shards):
+    """Workers a per-row campaign of ``n_rows`` forks: the cap, less
+    any shard the hash leaves empty."""
+    workers = min(n_shards, n_rows // PER_ROW_ROWS_PER_WORKER)
+    if workers <= 1:
+        return 0
+    forked = len({shard_of(seed, row, workers) for row in range(n_rows)})
+    return forked if forked > 1 else 0
+
+
 # -- shard assignment ---------------------------------------------------
 
 
@@ -118,7 +143,10 @@ def test_shard_of_keeps_signed_64_bit_assignments():
 @pytest.mark.parametrize("seed", [2**63, 2**70])
 def test_seeds_past_int64_shard_like_any_other(contexts, seed):
     serial = run_campaign(contexts, config_with(seed=seed))
-    sharded = run_campaign(contexts, config_with(seed=seed, n_shards=2))
+    sharded = run_campaign(
+        contexts, config_with(seed=seed, n_shards=2, mode="oracle")
+    )
+    assert sharded.workers == 2
     datasets_identical(serial.dataset, sharded.dataset)
 
 
@@ -140,12 +168,16 @@ def test_shard_count_never_changes_results(contexts, reference, tmp_path,
                                            n_shards):
     """The acceptance property: any shard count yields the reference
     run's dataset bytes, quarantine set, accounted backoff, attribution
-    summary and checkpoint contents."""
+    summary and checkpoint contents.  One shard runs the session bank
+    in-process; more fork per-row workers."""
     expected, expected_checkpoint = reference
     ck = tmp_path / "run.ckpt"
+    mode = "auto" if n_shards == 1 else "oracle"
     report = run_campaign(
-        contexts, config_with(n_shards=n_shards, checkpoint_path=ck)
+        contexts,
+        config_with(n_shards=n_shards, checkpoint_path=ck, mode=mode),
     )
+    assert report.workers == per_row_workers(11, len(contexts), n_shards)
     datasets_identical(expected.dataset, report.dataset)
     assert np.array_equal(report.dataset.column("bottleneck_attr"),
                           expected.dataset.column("bottleneck_attr"))
@@ -162,6 +194,8 @@ def test_quarantine_is_shard_invariant(contexts, registered_test):
         n: run_campaign(contexts, config_with(test=test, n_shards=n))
         for n in (1, 2, 8)
     }
+    for n, report in reports.items():
+        assert report.workers == per_row_workers(11, len(contexts), n)
     quarantined = {
         n: sorted(q.row_index for q in r.quarantined)
         for n, r in reports.items()
@@ -182,8 +216,9 @@ def test_sharded_checkpoint_resumes_serially(tmp_path, contexts):
     """The merged main checkpoint is an ordinary serial checkpoint."""
     ck = tmp_path / "run.ckpt"
     first = run_campaign(
-        contexts, config_with(n_shards=4, checkpoint_path=ck)
+        contexts, config_with(n_shards=4, checkpoint_path=ck, mode="oracle")
     )
+    assert first.workers == 4
     assert ck.exists()
 
     again = run_campaign(
@@ -206,8 +241,10 @@ def test_serial_checkpoint_resumes_sharded(tmp_path, contexts):
 
 def test_shard_files_are_merged_then_removed(tmp_path, contexts):
     ck = tmp_path / "run.ckpt"
-    config = config_with(n_shards=4, checkpoint_path=ck, checkpoint_every=1)
-    run_campaign(contexts, config)
+    config = config_with(
+        n_shards=4, checkpoint_path=ck, checkpoint_every=1, mode="oracle"
+    )
+    assert run_campaign(contexts, config).workers == 4
     assert ck.exists()
     for shard_id in range(4):
         assert not shard_checkpoint_path(ck, shard_id).exists()
@@ -262,32 +299,61 @@ def test_worker_error_fails_loud_but_keeps_rows(tmp_path, contexts,
 # -- progress streaming -------------------------------------------------
 
 
-def test_progress_streams_per_row_events(contexts):
+def progress_events(contexts, config):
+    """Run ``config``; return the report and every progress update as
+    ``(shard_id, done, finished)``."""
     events = []
     report = run_campaign(
-        contexts, config_with(n_shards=4),
+        contexts, config,
         on_progress=lambda snap: events.append(
             (snap.shard_id, snap.done, snap.finished)
         ),
     )
     assert report.n_measured == len(contexts)
-    # One event per measured row plus one "finished" per active shard.
+    return report, events
+
+
+def test_progress_streams_per_row_events(contexts):
+    """Per-row workers report one event per row, then one "finished"
+    per forked shard; the batch counts sum to the rows."""
+    report, events = progress_events(
+        contexts, config_with(n_shards=4, mode="oracle")
+    )
+    assert report.workers == 4
     per_row = [e for e in events if not e[2]]
     finishes = {e[0] for e in events if e[2]}
     assert len(per_row) + len(finishes) == len(events)
-    assert sum(1 for _ in per_row) == len(contexts)
-    assert finishes <= set(range(4))
+    assert len(per_row) == len(contexts)
+    assert finishes == set(range(4))
+    last = {}
+    for shard_id, done, _ in events:
+        last[shard_id] = done
+    assert sum(last.values()) == len(contexts)
+
+
+def test_workers_report_progress_per_bank():
+    """A banked worker sends one event per finished bank carrying the
+    bank's rows, not one per row."""
+    contexts = demo_campaign(2 * FLOOD_BANK_ROWS_PER_WORKER, seed=404)
+    report, events = progress_events(
+        contexts, CampaignConfig(seed=11, test="bts-app", n_shards=2)
+    )
+    assert report.workers == 2
+    pending = [e for e in events if not e[2]]
+    # Each worker's rows fit one flood bank: one event each.
+    assert sorted(e[0] for e in pending) == [0, 1]
+    assert sum(e[1] for e in pending) == len(contexts)
+    assert {e[0] for e in events if e[2]} == {0, 1}
 
 
 def test_in_process_run_reports_progress_as_shard_zero(contexts):
-    events = []
-    report = run_campaign(
-        contexts, config_with(n_shards=1),
-        on_progress=lambda snap: events.append(
-            (snap.shard_id, snap.done, snap.finished)
-        ),
+    """In-process runs report the same batches as workers, as shard 0:
+    one event per bank, or per row on the per-row engine."""
+    _, events = progress_events(contexts, config_with(n_shards=1))
+    assert events == [(0, len(contexts), False), (0, len(contexts), True)]
+    _, events = progress_events(
+        contexts, config_with(n_shards=1, mode="oracle")
     )
-    assert report.n_measured == len(contexts)
     assert [e[1] for e in events if not e[2]] == list(
         range(1, len(contexts) + 1)
     )
@@ -305,6 +371,186 @@ def test_in_process_run_starts_no_worker(contexts, monkeypatch):
     monkeypatch.setattr(parallel, "_mp_context", no_workers)
     report = run_campaign(contexts, config_with(n_shards=1))
     assert report.n_measured == len(contexts)
+    assert report.workers == 0
+
+
+# -- how many workers a run forks ---------------------------------------
+
+
+def test_small_banked_campaign_forks_nothing(monkeypatch, tmp_path):
+    """48 banked loopback rows cost less in-process than over any
+    worker: ``n_shards=8`` forks none and gives the same bytes."""
+    import repro.harness.parallel as parallel
+
+    contexts = demo_campaign(48, seed=404)
+    serial = run_campaign(contexts, config_with())
+
+    def no_workers():
+        raise AssertionError("48 banked rows must not fork")
+
+    monkeypatch.setattr(parallel, "_mp_context", no_workers)
+    manifest_path = tmp_path / "run.manifest.json"
+    report = run_campaign(
+        contexts, config_with(n_shards=8, manifest_path=manifest_path)
+    )
+    manifest = load_manifest(manifest_path)
+    assert manifest["run"]["workers"] == 0
+    assert manifest["run"]["n_shards"] == 8
+    assert manifest["shards"] == []
+    datasets_identical(serial.dataset, report.dataset)
+
+
+@pytest.mark.parametrize("test, mode, rows_per_worker, n_rows, n_shards", [
+    # Capped by the floor: rows // rows_per_worker < n_shards.
+    ("swiftest-loopback", "auto", SESSION_BANK_ROWS_PER_WORKER,
+     2 * SESSION_BANK_ROWS_PER_WORKER + 100, 8),
+    ("bts-app", "auto", FLOOD_BANK_ROWS_PER_WORKER,
+     2 * FLOOD_BANK_ROWS_PER_WORKER + 3, 8),
+    # Capped by n_shards.
+    ("swiftest-loopback", "oracle", PER_ROW_ROWS_PER_WORKER, 24, 3),
+])
+def test_fork_count_is_the_lesser_of_shards_and_floor(
+        tmp_path, test, mode, rows_per_worker, n_rows, n_shards):
+    """Above the floor a run forks ``min(n_shards, rows //
+    rows_per_worker)`` workers, and its bytes match the in-process
+    run's."""
+    contexts = demo_campaign(n_rows, seed=404)
+    config = dict(seed=11, test=test, mode=mode)
+    serial = run_campaign(contexts, CampaignConfig(**config))
+    manifest_path = tmp_path / "run.manifest.json"
+    sharded = run_campaign(contexts, CampaignConfig(
+        n_shards=n_shards, manifest_path=manifest_path, **config
+    ))
+    expected = min(n_shards, n_rows // rows_per_worker)
+    manifest = load_manifest(manifest_path)
+    assert manifest["run"]["workers"] == sharded.workers == expected
+    assert [s["shard_id"] for s in manifest["shards"]] == list(
+        range(expected)
+    )
+    datasets_identical(serial.dataset, sharded.dataset)
+
+
+def test_resumed_rows_do_not_count_toward_the_floor(tmp_path, contexts):
+    """The fork rule reads the rows left to measure: a resume with
+    three rows left stays in-process however many it has done."""
+    ck = tmp_path / "run.ckpt"
+    whole = run_campaign(contexts, config_with(checkpoint_path=ck))
+    saved = json.loads(ck.read_text())
+    for key in list(saved["rows"])[:3]:
+        del saved["rows"][key]
+    ck.write_text(json.dumps(saved))
+    resumed = run_campaign(
+        contexts,
+        config_with(n_shards=4, checkpoint_path=ck, mode="oracle"),
+        resume=True,
+    )
+    assert resumed.resumed_rows == len(contexts) - 3
+    assert resumed.workers == 0
+    datasets_identical(whole.dataset, resumed.dataset)
+
+
+# -- resuming any shard layout ------------------------------------------
+
+
+def killed_run_files(contexts, tmp_path, n_shards, seed=11):
+    """The checkpoint files a sharded run killed after flushing every
+    row leaves: ``.shard-0 .. .shard-<n-1>``, no main checkpoint."""
+    ck = tmp_path / "run.ckpt"
+    whole = run_campaign(contexts, config_with(seed=seed, checkpoint_path=ck))
+    saved = json.loads(ck.read_text())
+    ck.unlink()
+    for shard_id in range(n_shards):
+        rows = {
+            key: entry for key, entry in saved["rows"].items()
+            if shard_of(seed, int(key), n_shards) == shard_id
+        }
+        shard_checkpoint_path(ck, shard_id).write_text(json.dumps(
+            {"fingerprint": saved["fingerprint"], "rows": rows}
+        ))
+    return ck, whole
+
+
+@pytest.mark.parametrize("n_shards", [1, 2, 4])
+def test_resume_reads_every_shard_layout(tmp_path, contexts, n_shards):
+    """A killed 4-shard run resumes in full at any shard count, and
+    the resume leaves only the merged main checkpoint."""
+    ck, whole = killed_run_files(contexts, tmp_path, 4)
+    resumed = run_campaign(
+        contexts, config_with(n_shards=n_shards, checkpoint_path=ck),
+        resume=True,
+    )
+    assert resumed.resumed_rows == len(contexts)
+    datasets_identical(whole.dataset, resumed.dataset)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "run.ckpt", "run.ckpt.manifest.json",
+    ]
+    assert len(json.loads(ck.read_text())["rows"]) == len(contexts)
+
+
+def test_resume_folds_shard_files_before_any_worker_forks(
+        tmp_path, contexts, monkeypatch):
+    """This run's workers rewrite ``.shard-<k>`` files, so a resume
+    first folds the old ones into the main checkpoint: a kill after
+    the fork cannot lose the rows they held."""
+    import repro.harness.parallel as parallel
+
+    ck, _ = killed_run_files(contexts, tmp_path, 4)
+    for shard_id in (2, 3):
+        shard_checkpoint_path(ck, shard_id).unlink()
+    flushed = sum(
+        len(json.loads(shard_checkpoint_path(ck, k).read_text())["rows"])
+        for k in (0, 1)
+    )
+
+    class Killed(Exception):
+        pass
+
+    def killed_at_fork():
+        raise Killed
+
+    monkeypatch.setattr(parallel, "_mp_context", killed_at_fork)
+    with pytest.raises(Killed):
+        run_campaign(
+            contexts,
+            config_with(n_shards=2, checkpoint_path=ck, mode="oracle"),
+            resume=True,
+        )
+    assert len(json.loads(ck.read_text())["rows"]) == flushed
+    assert not shard_checkpoint_path(ck, 0).exists()
+    assert not shard_checkpoint_path(ck, 1).exists()
+
+
+def test_resume_rejects_a_foreign_shard_file_at_any_shard_count(
+        tmp_path, contexts):
+    """A shard file of a different campaign fails the resume, also at
+    a shard count that would never have written it."""
+    ck, _ = killed_run_files(contexts, tmp_path, 4, seed=12)
+    for n_shards in (1, 2):
+        with pytest.raises(CheckpointError, match="different campaign"):
+            run_campaign(
+                contexts,
+                config_with(n_shards=n_shards, checkpoint_path=ck),
+                resume=True,
+            )
+
+
+def test_resume_ignores_files_that_only_look_like_shards(tmp_path,
+                                                         contexts):
+    """Only ``<ckpt>.shard-<integer>`` is a shard file: an atomic
+    write's leftover ``.tmp`` or another suffix is never read."""
+    ck = tmp_path / "run.ckpt"
+    decoys = [
+        tmp_path / "run.ckpt.shard-0.tmp",
+        tmp_path / "run.ckpt.shard-x",
+        tmp_path / "other.ckpt.shard-0",
+    ]
+    for decoy in decoys:
+        decoy.write_text("{not json")
+    report = run_campaign(
+        contexts, config_with(checkpoint_path=ck), resume=True
+    )
+    assert report.resumed_rows == 0
+    assert all(decoy.exists() for decoy in decoys)
 
 
 @pytest.mark.parametrize("n_shards", [1, 2])

@@ -149,12 +149,14 @@ class TestSalvage:
 class TestShardedSalvage:
     def test_sharded_resume_with_torn_shard_checkpoint(self, tmp_path,
                                                        contexts, baseline):
+        # The per-row engine forks for these 12 rows; the flood bank
+        # would measure them in-process.
         ck = tmp_path / "run.ckpt"
         config = CampaignConfig(
             seed=SEED, max_tests=MAX_TESTS, n_shards=2,
-            checkpoint_path=ck, checkpoint_every=2,
+            checkpoint_path=ck, checkpoint_every=2, mode="oracle",
         )
-        run_campaign(contexts, config)
+        assert run_campaign(contexts, config).workers == 2
         # Fabricate the crash state: main checkpoint torn, one shard
         # file torn, the other intact.
         shard0 = shard_checkpoint_path(ck, 0)
@@ -166,4 +168,7 @@ class TestShardedSalvage:
 
         report = run_campaign(contexts, config, resume=True, salvage=True)
         assert report.n_rows == MAX_TESTS
+        assert 0 < report.resumed_rows < MAX_TESTS
+        assert report.workers == 2
         datasets_identical(report.dataset, baseline.dataset)
+        assert not shard0.exists()

@@ -121,18 +121,46 @@ def test_measure_resume_requires_checkpoint(campaign_csv, capsys):
 
 
 def test_measure_sharded_matches_serial(campaign_csv, tmp_path, capsys):
+    """Six banked rows stay in-process; the per-row engine forks three
+    workers for them.  Both match the serial bytes."""
     serial_out = tmp_path / "serial.csv"
+    banked_out = tmp_path / "banked.csv"
     sharded_out = tmp_path / "sharded.csv"
     base = ["measure", campaign_csv, "--tests", "6", "--seed", "4",
             "--test", "swiftest-loopback"]
     assert main(base + ["--out", str(serial_out)]) == 0
     capsys.readouterr()
-    code = main(base + ["--shards", "3", "--out", str(sharded_out)])
+    code = main(base + ["--shards", "3", "--out", str(banked_out)])
+    assert code == 0
+    captured = capsys.readouterr().out
+    assert "in-process: too few rows for 3 shards to pay" in captured
+    assert "sharded across" not in captured
+    code = main(base + ["--shards", "3", "--mode", "oracle",
+                        "--out", str(sharded_out)])
     assert code == 0
     captured = capsys.readouterr().out
     assert "sharded across 3 worker(s)" in captured
     assert "measured 6/6 rows" in captured
+    assert serial_out.read_bytes() == banked_out.read_bytes()
     assert serial_out.read_bytes() == sharded_out.read_bytes()
+
+
+def test_measure_serial_run_says_nothing_about_shards(campaign_csv,
+                                                      capsys):
+    code = main(["measure", campaign_csv, "--tests", "4", "--seed", "4",
+                 "--test", "swiftest-loopback"])
+    assert code == 0
+    captured = capsys.readouterr().out
+    assert "in-process" not in captured
+    assert "sharded" not in captured
+
+
+def test_measure_shards_help_names_an_upper_bound(capsys):
+    with pytest.raises(SystemExit):
+        main(["measure", "--help"])
+    assert "at most this many worker processes" in " ".join(
+        capsys.readouterr().out.split()
+    )
 
 
 @pytest.mark.parametrize("flag, value, field", [
@@ -294,7 +322,7 @@ def test_measure_manifest_flag(campaign_csv, tmp_path, capsys):
     manifest = tmp_path / "run.manifest.json"
     code = main([
         "measure", campaign_csv, "--tests", "4", "--seed", "4",
-        "--shards", "2", "-M", str(manifest),
+        "--shards", "2", "--mode", "oracle", "-M", str(manifest),
     ])
     assert code == 0
     assert f"manifest {manifest}" in capsys.readouterr().out
@@ -303,6 +331,8 @@ def test_measure_manifest_flag(campaign_csv, tmp_path, capsys):
     loaded = json.loads(manifest.read_text())
     assert loaded["kind"] == "campaign"
     assert loaded["run"]["n_rows"] == 4
+    assert loaded["run"]["n_shards"] == 2
+    assert loaded["run"]["workers"] == len(loaded["shards"]) == 2
     assert sum(s["rows"] for s in loaded["shards"]) == 4
 
 
@@ -319,7 +349,7 @@ def test_measure_checkpoint_implies_manifest(campaign_csv, tmp_path, capsys):
 def test_metrics_command(campaign_csv, tmp_path, capsys):
     manifest = tmp_path / "run.manifest.json"
     main(["measure", campaign_csv, "--tests", "6", "--seed", "4",
-          "--shards", "3", "-M", str(manifest)])
+          "--shards", "3", "--mode", "oracle", "-M", str(manifest)])
     capsys.readouterr()
     code = main(["metrics", str(manifest)])
     assert code == 0
@@ -327,9 +357,22 @@ def test_metrics_command(campaign_csv, tmp_path, capsys):
     assert "kind campaign" in captured
     assert "seed 4" in captured
     assert "outcomes" in captured
-    assert "shards" in captured
+    assert "shards 3  workers 3" in captured
+    assert "\nshards\n" in captured
     assert "campaign.rows_measured" in captured
     assert "campaign.row_wall_s" in captured
+
+
+def test_metrics_shows_an_in_process_run_forked_nothing(campaign_csv,
+                                                        tmp_path, capsys):
+    manifest = tmp_path / "run.manifest.json"
+    main(["measure", campaign_csv, "--tests", "6", "--seed", "4",
+          "--shards", "3", "-M", str(manifest)])
+    capsys.readouterr()
+    assert main(["metrics", str(manifest)]) == 0
+    captured = capsys.readouterr().out
+    assert "shards 3  workers 0" in captured
+    assert "\nshards\n" not in captured
 
 
 def test_metrics_missing_manifest(tmp_path, capsys):
