@@ -2,14 +2,12 @@
 
 The subcommands cover the library's main workflows::
 
-    repro campaign --year 2021 --tests 50000 --out campaign.csv
-    repro generate --n-tests 1000000 --out campaign.npz [--chunk-size N]
+    repro generate --n-tests 50000 --out campaign.csv [--year 2021] \\
+        [--chunk-size N] [--home-path] [--store runs/ --store-month aug]
     repro analyze campaign.csv
     repro measure campaign.csv --tests 200 --out measured.csv \\
         --checkpoint run.ckpt [--resume] [--shards 8] [--test NAME] \\
         [--mode oracle|vectorized|auto]
-    repro bench [campaign|dataset|fleet|sessions|ooc|attribution] \\
-        --out BENCH_<target>.json [--sizes N,N,...] [--seed N]
     repro speedtest --bandwidth 320 --tech 5G [--campaign campaign.csv]
     repro plan --tests-per-day 10000 [--campaign campaign.csv]
     repro fleet-day --users 100000 --hours 24 --seed 7 \\
@@ -66,39 +64,7 @@ def _load_or_generate(path: Optional[str], tests: int, seed: int) -> Dataset:
     )
 
 
-def _generation_config(
-    args: argparse.Namespace, n_tests: int
-) -> Optional[GenerationConfig]:
-    """The generation config of ``campaign``/``generate``, or ``None``
-    after an ``error:`` line when a flag is out of range (``--seed``,
-    the test count)."""
-    try:
-        return GenerationConfig(
-            year=args.year, n_tests=n_tests, seed=args.seed,
-            home_path=args.home_path,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return None
-
-
 # -- subcommands -----------------------------------------------------------
-
-
-def cmd_campaign(args: argparse.Namespace) -> int:
-    """Generate a synthetic measurement campaign."""
-    config = _generation_config(args, args.tests)
-    if config is None:
-        return 2
-    dataset = generate_campaign(config)
-    print(f"generated {len(dataset)} tests (year {args.year}, seed {args.seed})")
-    for tech, mean in sorted(dataset.group_mean_bandwidth("tech").items()):
-        n = dataset.group_counts("tech")[tech]
-        print(f"  {tech:6s} n={n:7d}  mean {mean:7.1f} Mbps")
-    if args.out:
-        dataset.save(args.out)
-        print(f"wrote {args.out}")
-    return 0
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
@@ -125,8 +91,13 @@ def cmd_generate(args: argparse.Namespace) -> int:
     if args.format == "npd" and not (args.out or args.store):
         print("error: --format npd needs --out or --store", file=sys.stderr)
         return 2
-    config = _generation_config(args, args.n_tests)
-    if config is None:
+    try:
+        config = GenerationConfig(
+            year=args.year, n_tests=args.n_tests, seed=args.seed,
+            home_path=args.home_path,
+        )
+    except ValueError as exc:  # an out-of-range --n-tests or --seed
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     chunk_size = args.chunk_size or DEFAULT_CHUNK_SIZE
     out = args.out
@@ -471,279 +442,6 @@ def cmd_speedtest(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_sizes(raw: Optional[str], default, flag: str = "--sizes"):
-    """Comma-separated ints, or ``default`` when the flag was omitted."""
-    if not raw:
-        return tuple(default)
-    try:
-        return tuple(int(s) for s in raw.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"{flag} must be comma-separated integers, got {raw!r}"
-        )
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    """Benchmark one engine: ``repro bench [TARGET]``.
-
-    Targets: ``campaign`` (serial vs sharded supervisor, the default),
-    ``dataset`` (chunked generator vs per-row oracle), ``fleet``
-    (fleet-day determinism), ``sessions`` (batched session bank vs the
-    per-packet Swiftest oracle), ``ooc`` (out-of-core generate →
-    ingest → compare round trip under a flat peak-RSS ceiling).  Each
-    writes ``BENCH_<target>.json`` when ``--out`` is given and exits
-    non-zero if any fast path diverged from its oracle.
-    """
-    target = getattr(args, "target", "campaign")
-    if target == "dataset":
-        return _cmd_bench_dataset(args)
-    if target == "fleet":
-        return _cmd_bench_fleet(args)
-    if target == "sessions":
-        return _cmd_bench_sessions(args)
-    if target == "ooc":
-        return _cmd_bench_ooc(args)
-    if target == "attribution":
-        return _cmd_bench_attribution(args)
-    return _cmd_bench_campaign(args)
-
-
-def _cmd_bench_attribution(args: argparse.Namespace) -> int:
-    """The bottleneck-attribution gate: accuracy + shard/mode identity."""
-    from repro.harness.bench import (
-        ATTRIBUTION_DEFAULT_ROWS,
-        ATTRIBUTION_MIN_AGREEMENT,
-        run_attribution_bench,
-    )
-
-    rows = ATTRIBUTION_DEFAULT_ROWS
-    if args.sizes:
-        try:
-            rows = int(args.sizes)
-        except ValueError:
-            print(f"error: attribution takes a single --sizes value, "
-                  f"got {args.sizes!r}", file=sys.stderr)
-            return 2
-    min_agreement = (
-        args.min_agreement if args.min_agreement is not None
-        else ATTRIBUTION_MIN_AGREEMENT
-    )
-    summary = run_attribution_bench(
-        rows=rows,
-        oracle_rows=args.oracle_rows,
-        seed=args.seed if args.seed is not None else 20220801,
-        min_agreement=min_agreement,
-        out_path=args.out,
-        manifest_path=args.manifest,
-    )
-    attribution = summary["attribution"]
-    print(f"bottleneck attribution gate ({summary['rows']:,} home-path "
-          f"rows, seed {summary['seed']})")
-    print(f"  attributed {attribution.get('n_attributed', 0):,}/"
-          f"{attribution.get('n_rows', 0):,} rows; shares "
-          + "  ".join(f"{name} {share * 100:.1f}%"
-                      for name, share in attribution.get("shares",
-                                                         {}).items()))
-    agreement = attribution.get("agreement")
-    shown = "n/a" if agreement is None else f"{agreement * 100:.1f}%"
-    print(f"  ground-truth agreement {shown} "
-          f"(gate >= {summary['min_agreement'] * 100:.0f}%)")
-    print(f"  byte-identical across shards {summary['shard_counts']}: "
-          f"{summary['shard_identical']}")
-    print(f"  oracle == vectorized on {summary['oracle_rows']:,} rows: "
-          f"{summary['mode_identical']}")
-    if args.out:
-        print(f"wrote {args.out}")
-    if args.manifest:
-        print(f"manifest {args.manifest}")
-    if not summary["accurate"]:
-        print(f"error: attribution agreement {shown} below the "
-              f"{summary['min_agreement'] * 100:.0f}% gate", file=sys.stderr)
-        return 1
-    if not summary["shard_identical"]:
-        print("error: measured dataset or attribution diverged across "
-              "shard counts", file=sys.stderr)
-        return 1
-    if not summary["mode_identical"]:
-        print("error: oracle and vectorized engines diverged",
-              file=sys.stderr)
-        return 1
-    return 0
-
-
-def _cmd_bench_ooc(args: argparse.Namespace) -> int:
-    """Benchmark the out-of-core backend and enforce the flat-RSS gate."""
-    from repro.harness.bench import (
-        OOC_DEFAULT_ROWS,
-        OOC_DEFAULT_VERIFY_ROWS,
-        run_ooc_bench,
-    )
-
-    try:
-        rows = int(args.rows) if args.rows else OOC_DEFAULT_ROWS
-    except ValueError:
-        print(f"error: --rows must be an integer, got {args.rows!r}",
-              file=sys.stderr)
-        return 2
-    if args.seed is None:
-        args.seed = 20220801
-    summary = run_ooc_bench(
-        rows=rows,
-        chunk_size=args.chunk_size,
-        seed=args.seed,
-        rss_ceiling_mb=args.rss_ceiling,
-        verify_rows=args.verify_rows or OOC_DEFAULT_VERIFY_ROWS,
-        out_path=args.out,
-    )
-    print(f"out-of-core backend bench ({summary['rows']:,} rows, "
-          f"chunk size {summary['chunk_size']}, seed {summary['seed']})")
-    print(f"{'phase':16s} {'elapsed':>9s} {'rows/s':>11s} "
-          f"{'peak RSS':>9s}")
-    for name, phase in summary["phases"].items():
-        rate = (f"{phase['rows_per_s']:11,.0f}"
-                if "rows_per_s" in phase else f"{'-':>11s}")
-        print(f"{name:16s} {phase['elapsed_s']:8.2f}s {rate} "
-              f"{phase['peak_rss_mb']:7.1f}MB")
-    gate = "<" if summary["within_ceiling"] else ">="
-    print(f"gated peak RSS {summary['peak_rss_mb']:.1f} MiB "
-          f"{gate} ceiling {summary['rss_ceiling_mb']:.0f} MiB")
-    print(f"out-of-core reads and folds byte-identical to in-memory: "
-          f"{summary['all_byte_identical']}")
-    if args.out:
-        print(f"wrote {args.out}")
-    if not summary["all_byte_identical"]:
-        failed = sorted(
-            name for name, ok in summary["identity"].items() if not ok
-        )
-        print(f"error: out-of-core reads or folds diverged from "
-              f"in-memory: {', '.join(failed)}", file=sys.stderr)
-        return 1
-    if not summary["within_ceiling"]:
-        print(f"error: peak RSS {summary['peak_rss_mb']:.1f} MiB breaches "
-              f"the {summary['rss_ceiling_mb']:.0f} MiB ceiling",
-              file=sys.stderr)
-        return 1
-    return 0
-
-
-def _cmd_bench_campaign(args: argparse.Namespace) -> int:
-    """Benchmark serial vs sharded campaign execution."""
-    from repro.harness.bench import DEFAULT_SIZES, run_campaign_bench
-
-    try:
-        sizes = _parse_sizes(args.sizes, DEFAULT_SIZES)
-    except argparse.ArgumentTypeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.seed is None:
-        args.seed = 20220801
-    summary = run_campaign_bench(
-        sizes=sizes, n_shards=args.shards, seed=args.seed, out_path=args.out
-    )
-    print(f"campaign engine bench (shards={args.shards}, seed={args.seed})")
-    print(f"{'rows':>6s} {'serial r/s':>11s} {'sharded r/s':>12s} "
-          f"{'speedup':>8s}  identical")
-    for case in summary["cases"]:
-        print(f"{case['size']:6d} {case['serial_rows_per_s']:11.1f} "
-              f"{case['sharded_rows_per_s']:12.1f} "
-              f"{case['speedup']:7.1f}x  {case['byte_identical']}")
-    print(f"peak RSS {summary['peak_rss_mb']:.1f} MiB")
-    if args.out:
-        print(f"wrote {args.out}")
-    if not summary["all_byte_identical"]:
-        print("error: sharded output diverged from serial", file=sys.stderr)
-        return 1
-    return 0
-
-
-def _cmd_bench_dataset(args: argparse.Namespace) -> int:
-    """Benchmark the chunked dataset engine vs the per-row oracle."""
-    from repro.harness.bench import (
-        DATASET_DEFAULT_ROWS,
-        run_dataset_bench,
-    )
-
-    try:
-        rows = _parse_sizes(args.sizes or args.rows, DATASET_DEFAULT_ROWS)
-    except argparse.ArgumentTypeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    summary = run_dataset_bench(
-        rows=rows,
-        oracle_rows=args.oracle_rows,
-        chunk_size=args.chunk_size,
-        seed=args.seed if args.seed is not None else 20220801,
-        out_path=args.out,
-    )
-    print(f"dataset engine bench (chunk size {summary['chunk_size']}, "
-          f"seed {summary['seed']})")
-    print(f"{'rows':>8s} {'oracle r/s':>11s} {'vector r/s':>11s} "
-          f"{'speedup':>8s}  identical")
-    for case in summary["cases"]:
-        identical = (
-            case["chunked_byte_identical"] and case["oracle_byte_identical"]
-        )
-        print(f"{case['rows']:8d} {case['oracle_rows_per_s']:11.1f} "
-              f"{case['vectorized_rows_per_s']:11.1f} "
-              f"{case['speedup']:7.1f}x  {identical}")
-    print(f"peak RSS {summary['peak_rss_mb']:.1f} MiB")
-    if args.out:
-        print(f"wrote {args.out}")
-    if not summary["all_byte_identical"]:
-        print("error: vectorized output diverged from the oracle",
-              file=sys.stderr)
-        return 1
-    return 0
-
-
-def _cmd_bench_sessions(args: argparse.Namespace) -> int:
-    """Benchmark the batched session bank vs the per-packet oracle."""
-    from repro.harness.bench import (
-        SESSIONS_DEFAULT_ORACLE,
-        SESSIONS_DEFAULT_SIZES,
-        run_sessions_bench,
-    )
-
-    try:
-        sizes = _parse_sizes(args.sizes, SESSIONS_DEFAULT_SIZES)
-    except argparse.ArgumentTypeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    oracle_sessions = (
-        args.oracle_sessions
-        if args.oracle_sessions is not None
-        else SESSIONS_DEFAULT_ORACLE
-    )
-    seed = args.seed if args.seed is not None else 20220801
-    summary = run_sessions_bench(
-        sizes=sizes,
-        oracle_sessions=oracle_sessions,
-        seed=seed,
-        out_path=args.out,
-    )
-    print(f"session-bank bench (oracle sessions "
-          f"{summary['oracle_sessions']}, seed {summary['seed']})")
-    print(f"{'sessions':>8s} {'oracle r/s':>11s} {'bank r/s':>11s} "
-          f"{'speedup':>8s}  identical")
-    for case in summary["cases"]:
-        identical = (
-            case["byte_identical"]
-            and case["order_invariant"]
-            and case["bank_size_invariant"]
-        )
-        print(f"{case['n_sessions']:8d} {case['oracle_rows_per_s']:11.1f} "
-              f"{case['bank_rows_per_s']:11.1f} "
-              f"{case['speedup']:7.1f}x  {identical}")
-    print(f"peak RSS {summary['peak_rss_mb']:.1f} MiB")
-    if args.out:
-        print(f"wrote {args.out}")
-    if not summary["all_byte_identical"]:
-        print("error: session bank diverged from the per-packet oracle",
-              file=sys.stderr)
-        return 1
-    return 0
-
-
 def cmd_report(args: argparse.Namespace) -> int:
     """Render a full text report (with terminal plots) for a campaign."""
     from repro.analysis.plots import bar_chart
@@ -866,39 +564,6 @@ def cmd_fleet_day(args: argparse.Namespace) -> int:
         return 1
     print("accounting balanced: admitted == "
           "completed + degraded + rejected + failed")
-    return 0
-
-
-def _cmd_bench_fleet(args: argparse.Namespace) -> int:
-    """Benchmark the fleet-day simulator and verify determinism."""
-    from repro.harness.bench import run_fleet_bench
-
-    summary = run_fleet_bench(
-        users=args.users,
-        hours=args.hours,
-        seed=args.seed if args.seed is not None else 7,
-        workers=args.workers,
-        out_path=args.out,
-    )
-    rate = summary["arrivals_per_s"]
-    print(f"fleet-day bench ({summary['users']:,} users, "
-          f"{summary['hours']}h, seed {summary['seed']})")
-    print(f"  {summary['admitted']:,} tests / "
-          f"{summary['events_processed']:,} events in "
-          f"{summary['elapsed_s']:.2f}s"
-          + (f" ({rate:,.0f} arrivals/s)" if rate else ""))
-    print(f"  rerun identical: {summary['rerun_identical']}  "
-          f"workers identical: {summary['workers_identical']}  "
-          f"balanced: {summary['accounting_balanced']}")
-    print(f"  peak RSS {summary['peak_rss_mb']:.1f} MiB")
-    if args.out:
-        print(f"wrote {args.out}")
-    if not summary["all_byte_identical"]:
-        print("error: outcomes diverged between runs", file=sys.stderr)
-        return 1
-    if not summary["accounting_balanced"]:
-        print("error: SLO accounting imbalance", file=sys.stderr)
-        return 1
     return 0
 
 
@@ -1151,17 +816,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True,
                                 metavar="COMMAND")
 
-    p = sub.add_parser("campaign", help="generate a measurement campaign")
-    p.add_argument("--year", type=int, default=2021, choices=(2020, 2021))
-    p.add_argument("--tests", type=int, default=50_000)
-    p.add_argument("--seed", type=int, default=20210801)
-    p.add_argument("--home-path", action="store_true",
-                   help="model WiFi rows as a two-hop home path "
-                        "(RSS-degraded air link, LAN cross traffic, "
-                        "ground-truth bottleneck labels)")
-    p.add_argument("--out", help="CSV output path")
-    p.set_defaults(func=cmd_campaign)
-
     p = sub.add_parser(
         "generate",
         help="generate a campaign with the paper-scale chunked engine",
@@ -1202,7 +856,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="re-measure a campaign through a BTS (supervised: retries, "
              "quarantine, checkpoint/resume)",
     )
-    p.add_argument("campaign", help="CSV produced by 'repro campaign'")
+    p.add_argument("campaign", help="CSV produced by 'repro generate'")
     p.add_argument("--tests", type=int, default=None,
                    help="cap on rows to measure (subsampled by --seed)")
     p.add_argument("--seed", type=int, default=0)
@@ -1213,7 +867,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resume", action="store_true",
                    help="resume from --checkpoint if it exists")
     p.add_argument("--checkpoint-every", type=int, default=100,
-                   help="rows between checkpoint flushes")
+                   help="finished rows between checkpoint flushes "
+                        "(a bank of rows flushes once, when it "
+                        "finishes)")
     p.add_argument("--max-attempts", type=int, default=3,
                    help="tries per row before quarantining it")
     p.add_argument("--shards", type=int, default=1,
@@ -1261,63 +917,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "(or next to a checkpoint)")
     p.set_defaults(func=cmd_metrics)
 
-    p = sub.add_parser(
-        "bench",
-        help="benchmark an engine against its oracle — campaign "
-             "(serial vs sharded), dataset (chunked vs per-row), "
-             "fleet (determinism), sessions (batched bank vs "
-             "per-packet), ooc (out-of-core round trip under a "
-             "flat-RSS ceiling) — and write BENCH_<target>.json",
-    )
-    p.add_argument("target", nargs="?", default="campaign",
-                   choices=("campaign", "dataset", "fleet", "sessions",
-                            "ooc", "attribution"),
-                   help="engine to benchmark (default campaign)")
-    p.add_argument("--sizes",
-                   help="comma-separated case sizes: campaign rows "
-                        "(default 16,48,96), dataset rows (default "
-                        "100000), bank sessions (default "
-                        "64,512,4096), or attribution campaign rows "
-                        "(single value, default 10000)")
-    p.add_argument("--seed", type=int, default=None,
-                   help="RNG seed (default 20220801; fleet: 7)")
-    p.add_argument("--out", "--output", dest="out",
-                   help="JSON output path (e.g. BENCH_campaign.json)")
-    p.add_argument("--shards", type=int, default=8,
-                   help="campaign: shard count of the parallel "
-                        "configuration")
-    p.add_argument("--oracle-rows", type=int, default=5_000,
-                   help="dataset/attribution: rows the per-row oracle "
-                        "leg is timed on")
-    p.add_argument("--min-agreement", type=float, default=None,
-                   help="attribution: required agreement with the "
-                        "ground-truth binding hop (default 0.90)")
-    p.add_argument("-M", "--manifest",
-                   help="attribution: write the baseline run's "
-                        "campaign manifest (with attribution block) "
-                        "here")
-    p.add_argument("--chunk-size", type=int, default=65_536,
-                   help="dataset: rows per streamed chunk")
-    p.add_argument("--oracle-sessions", type=int, default=None,
-                   help="sessions: sessions the per-packet oracle "
-                        "leg replays for byte-identity (default 8)")
-    # ooc's row count; also an older spelling of dataset's --sizes.
-    p.add_argument("--rows", help=argparse.SUPPRESS)
-    p.add_argument("--rss-ceiling", type=float, default=150.0,
-                   help="ooc: peak-RSS ceiling in MiB the streaming "
-                        "round trip must stay under (exit 1 otherwise)")
-    p.add_argument("--verify-rows", type=int, default=None,
-                   help="ooc: rows of the in-memory identity campaign "
-                        "(default 100000; outside the RSS gate)")
-    p.add_argument("--users", type=int, default=100_000,
-                   help="fleet: user population")
-    p.add_argument("--hours", type=int, default=24,
-                   help="fleet: virtual hours to simulate")
-    p.add_argument("--workers", type=int, default=2,
-                   help="fleet: worker count of the sharded "
-                        "determinism leg")
-    p.set_defaults(func=cmd_bench)
-
     p = sub.add_parser("speedtest", help="run one simulated bandwidth test")
     p.add_argument("--bandwidth", type=float, default=300.0,
                    help="true access capacity in Mbps")
@@ -1329,7 +928,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_speedtest)
 
     p = sub.add_parser("report", help="full text report for a campaign")
-    p.add_argument("campaign", help="CSV produced by 'repro campaign'")
+    p.add_argument("campaign", help="CSV produced by 'repro generate'")
     p.set_defaults(func=cmd_report)
 
     p = sub.add_parser(

@@ -20,8 +20,8 @@ oracle, and every bank result is **byte-identical** to
 ``run_loopback_session`` for the same inputs — same floats, same
 integer counters, same sample streams — invariant to bank size and to
 the order rows are packed into banks.  The equivalence is enforced by
-``tests/core/test_sessionbank.py``, the property suite, and the
-``repro bench sessions`` benchmark (``BENCH_sessions.json``).
+``tests/core/test_sessionbank.py`` and the property suite
+(``tests/property/test_sessionbank_properties.py``).
 
 How bit-equality is achieved (the same playbook as PR 4):
 

@@ -188,18 +188,18 @@ class LoopbackSwiftest(BandwidthTestService):
     phase costs one RTT to the nearest server, and the session's
     :class:`~repro.baselines.common.TestOutcome` carries through.
 
-    This is the default per-row service of the sharded campaign
-    engine's demo/bench path: the loopback exercises the real protocol
-    state machines yet costs a few milliseconds per row once the
-    interval loop is vectorized, and whole campaigns of fault-free rows
-    run in lockstep through the
+    This is the service behind ``--test swiftest-loopback`` campaigns
+    and the pipeline benchmark's measure-swiftest workload: the
+    loopback exercises the real protocol state machines yet costs a
+    few milliseconds per row once the interval loop is vectorized,
+    and whole campaigns of fault-free rows run in lockstep through the
     :class:`~repro.core.sessionbank.SessionBank` (see
     :func:`repro.harness.runtime.iter_banked_rows`).  ``mode`` is the
     :class:`~repro.execmode.ExecutionMode` of the interval loop:
     ``auto`` (default) takes the numpy fast path whenever no data-plane
-    faults are injected, ``oracle`` forces the historical per-packet
-    loop (the perf benchmark's serial baseline), ``vectorized`` demands
-    the fast path.
+    faults are injected, ``oracle`` forces the per-packet loop (the
+    reference the fast path and the session bank are checked against),
+    ``vectorized`` demands the fast path.
     """
 
     name = "swiftest-loopback"

@@ -1,8 +1,8 @@
 """Out-of-core columnar dataset backend (``.npd`` directories).
 
 The in-memory :class:`~repro.dataset.records.Dataset` caps every
-analysis at what fits in RAM — ``BENCH_dataset.json`` records a
-778 MiB peak RSS for a single 1M-row campaign, and the paper's own
+analysis at what fits in RAM — a single 1M-row campaign costs about
+0.8 GiB of resident memory there, and the paper's own
 corpus is 23.6M rows (§2).  This module is the spill-to-disk half of
 the fix: a **chunk writer** that any chunk producer (the generator's
 :func:`~repro.dataset.generator.iter_campaign_chunks`, the sharded
@@ -33,7 +33,7 @@ Two read paths, with different RSS behaviour, on purpose:
 * :meth:`MappedDataset.iter_chunks` reads each chunk with positioned
   ``read()`` + ``np.frombuffer`` — fresh small buffers, so a whole-
   dataset streaming fold keeps peak RSS at O(chunk), which is what the
-  flat-RSS bench gate (``repro bench ooc``) measures.
+  flat-RSS test in ``tests/store/test_ooc_store.py`` gates.
 
 String columns (``object`` dtype in :data:`SCHEMA`) are stored as
 fixed-width little-endian UTF-32 (``<U*``), widened in place if a

@@ -4,9 +4,9 @@ The calibrated generator (:mod:`repro.dataset.generator`) composes
 radio, device, city and ISP models *row by row*, interleaving many
 small RNG draws per record; that per-row stream is what the §3 figure
 benchmarks are calibrated against, so it cannot be reordered without
-changing their inputs bit-for-bit.  Campaign-scale tooling — the
-sharded execution engine, the perf benchmark, examples — does not need
-the full population model, it needs *many plausible contexts, fast*.
+changing their inputs bit-for-bit.  The sharded execution engine's
+tests do not need the full population model; they need *many
+plausible contexts, fast*.
 
 This module provides that path: every column of the campaign is drawn
 in one vectorized numpy operation, and the bandwidth column comes from

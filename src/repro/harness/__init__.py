@@ -19,12 +19,9 @@
   session bank reads instead;
 * :mod:`repro.harness.config` — the frozen
   :class:`~repro.harness.config.CampaignConfig` /
-  :class:`~repro.harness.config.RetryPolicy` recipe a campaign runs;
-* :mod:`repro.harness.bench` — the engine benchmarks behind
-  ``repro bench`` and the ``BENCH_*.json`` files.
+  :class:`~repro.harness.config.RetryPolicy` recipe a campaign runs.
 """
 
-from repro.harness.bench import BenchCase, run_campaign_bench
 from repro.harness.collection import (
     campaign_subset,
     measurement_error_stats,
@@ -52,7 +49,6 @@ from repro.harness.pairs import (
 from repro.harness.utilization import UtilizationTrace, simulate_utilization
 
 __all__ = [
-    "BenchCase",
     "CampaignConfig",
     "CampaignReport",
     "CheckpointError",
@@ -69,7 +65,6 @@ __all__ = [
     "measurement_error_stats",
     "row_environment",
     "run_campaign",
-    "run_campaign_bench",
     "run_comparison",
     "run_pair_campaign",
     "shard_checkpoint_path",

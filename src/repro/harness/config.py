@@ -110,7 +110,10 @@ class CampaignConfig:
         When set, progress is persisted here (shards write sibling
         ``<path>.shard-<k>`` files merged into this one).
     checkpoint_every:
-        Rows finished between checkpoint flushes.
+        Finished rows between checkpoint flushes.  The flush comes
+        after the batch that reaches the count — one row on the
+        per-row engine, a whole bank otherwise — so a bank, whose
+        rows all finish at once, flushes at most once.
     n_shards:
         Upper bound on the worker processes the rows fan out over.
         A run forks only as many as the rows left to measure pay for

@@ -17,8 +17,9 @@ run one.  Every run goes through the same steps:
   — and with it how many rows a forked worker needs to pay for itself.
 * **One row loop** (:func:`_measure_rows`).  It runs that executor a
   batch at a time (one bank, or one row on the per-row engine), and
-  flushes a checkpoint every ``checkpoint_every`` finished rows and
-  once more on every exit path, a crash or kill included.
+  flushes a checkpoint after the batch that brings the rows finished
+  since the last flush to ``checkpoint_every``, and once more on every
+  exit path, a crash or kill included.
 * **One finish step** (:func:`_finish`).  It sets the rows/s gauge,
   writes the run manifest and ingests the run into the store, when the
   config asks for either.
@@ -189,10 +190,11 @@ def _measure_rows(
     per-row engine; either way their results are byte-identical (the
     oracle contract).  Each finished batch reports its
     ``(rows, retries, quarantined)`` counts to ``on_batch``.  ``rows``
-    is flushed to ``checkpoint_path`` every ``config.checkpoint_every``
-    finished rows and once more on every exit path — normal
-    completion, a service bug, or a kill — so a resume never loses
-    finished rows.
+    is flushed to ``checkpoint_path`` after each batch that brings the
+    rows finished since the last flush to ``config.checkpoint_every``
+    (a bank, whose rows all finish at once, flushes at most once), and
+    once more on every exit path — normal completion, a service bug,
+    or a kill — so a resume never loses finished rows.
     """
     if executor_for(service, config.mode).run_bank is None:
         batches = (
@@ -210,14 +212,14 @@ def _measure_rows(
                 rows[index] = state
                 retries += state.attempts - 1
                 quarantined += state.quarantine is not None
-                since_flush += 1
-                if (
-                    checkpoint_path is not None
-                    and since_flush >= config.checkpoint_every
-                ):
-                    write_checkpoint(checkpoint_path, fingerprint, rows)
-                    flushes += 1
-                    since_flush = 0
+            since_flush += len(batch)
+            if (
+                checkpoint_path is not None
+                and since_flush >= config.checkpoint_every
+            ):
+                write_checkpoint(checkpoint_path, fingerprint, rows)
+                flushes += 1
+                since_flush = 0
             on_batch(len(batch), retries, quarantined)
     finally:
         if checkpoint_path is not None and since_flush > 0:

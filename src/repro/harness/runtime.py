@@ -310,8 +310,10 @@ def bankable_service(service) -> bool:
     the packet-loopback Swiftest variant on a finite fixed ladder (the
     bank precomputes the rung table), through the columnar
     :class:`~repro.core.sessionbank.SessionBank`, unless the service
-    itself is pinned to its per-packet ``oracle`` interval loop (the
-    perf benchmark's serial baseline must stay serial).  Everything
+    itself is pinned to its per-packet ``oracle`` interval loop: that
+    loop is the reference the bank is checked against, and the one
+    path that encodes every packet on the wire, so a service built to
+    run it must not be swapped for the kernel it checks.  Everything
     else takes the per-row engine: Speedtest, whose fixed 15 s Cubic
     flood no bank serves yet; FAST, FastBTS and ``tcp-swiftest``,
     which stop early; and fitted mixture models.  This is the

@@ -1,7 +1,7 @@
 """Durable file-write primitives shared by every persistence path.
 
-The repo's writers (checkpoints, manifests, ``BENCH_*.json``, the run
-store) all follow the same atomic pattern — write a sibling temp file,
+The repo's writers (checkpoints, manifests, the run store) all
+follow the same atomic pattern — write a sibling temp file,
 then :func:`os.replace` over the destination — but atomicity alone
 only protects against a crash *mid-write*.  Without an ``fsync`` of
 the file before the rename, and of the containing directory after it,

@@ -17,8 +17,8 @@ default) folds each month's runs chunk by chunk — means and matched
 peak memory, which is what lets a 10M-row month compare under the
 flat-RSS ceiling.  ``"oracle"`` pools everything in memory first and
 runs the in-memory analysis over the pooled datasets; both modes
-produce bit-identical results (the bench identity gate holds them to
-that).
+produce bit-identical results (``tests/store/test_ooc_store.py`` holds
+them to that).
 """
 
 from __future__ import annotations

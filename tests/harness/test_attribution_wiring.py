@@ -1,4 +1,5 @@
-"""Attribution through the campaign engine: shard and order invariance."""
+"""Attribution through the campaign engine: shard and order invariance,
+and the 10k-row accuracy gate."""
 
 import numpy as np
 import pytest
@@ -99,3 +100,39 @@ def test_legacy_campaign_reports_without_ground_truth_contention():
     assert report.attribution["n_validated"] > 0
     truth = report.dataset.column("bottleneck")
     assert set(np.unique(truth)) <= {0, 1, 2}
+
+
+def test_attribution_gate_at_10k_rows(tmp_path):
+    """The attribution gate on a seeded 10k-row home-path campaign.
+
+    Swiftest's inferred binding hop agrees with the simulator's ground
+    truth on at least 90% of validated rows; 1, 2 and 8 shards give the
+    same CSV bytes and attribution (2 and 8 fork banked workers, at
+    most one per 2,048 rows); and the per-packet oracle and the session
+    bank agree on the first 512 rows.
+    """
+    seed = 20220801
+    contexts = generate_campaign(
+        GenerationConfig(n_tests=10_000, seed=seed, home_path=True)
+    )
+
+    def csv_bytes(report, name):
+        path = tmp_path / f"{name}.csv"
+        report.dataset.to_csv(path)
+        return path.read_bytes()
+
+    reports = {n: measure(contexts, n_shards=n, seed=seed)
+               for n in (1, 2, 8)}
+    assert {n: r.workers for n, r in reports.items()} == {1: 0, 2: 2, 8: 4}
+    base = reports[1]
+    base_bytes = csv_bytes(base, 1)
+    for n in (2, 8):
+        assert csv_bytes(reports[n], n) == base_bytes
+        assert reports[n].attribution == base.attribution
+    assert base.attribution["agreement"] >= 0.90
+
+    head = contexts.filter(np.arange(len(contexts)) < 512)
+    oracle = measure(head, seed=seed, mode="oracle")
+    vectorized = measure(head, seed=seed, mode="vectorized")
+    assert csv_bytes(oracle, "oracle") == csv_bytes(vectorized, "vectorized")
+    assert oracle.attribution == vectorized.attribution

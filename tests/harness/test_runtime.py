@@ -178,9 +178,10 @@ def test_unusable_outcome_rows_are_quarantined_with_outcome(
 
 
 def test_checkpoint_written_and_resumed(tmp_path, contexts):
+    """The per-row engine flushes every ``checkpoint_every`` rows."""
     config = CampaignConfig(seed=7, max_tests=10,
                             checkpoint_path=tmp_path / "run.ckpt",
-                            checkpoint_every=4)
+                            checkpoint_every=4, mode="oracle")
     first = run_campaign(contexts, config)
     assert config.checkpoint_path.exists()
     assert first.checkpoints_written >= 2
@@ -189,6 +190,19 @@ def test_checkpoint_written_and_resumed(tmp_path, contexts):
     again = run_campaign(contexts, config, resume=True)
     assert again.resumed_rows == 10
     datasets_identical(first.dataset, again.dataset)
+
+
+def test_bank_flushes_its_checkpoint_once(tmp_path, contexts):
+    """A bank's rows all finish at once, so ten banked rows write one
+    checkpoint, not one per ``checkpoint_every`` rows."""
+    config = CampaignConfig(seed=7, max_tests=10,
+                            checkpoint_path=tmp_path / "run.ckpt",
+                            checkpoint_every=4)
+    report = run_campaign(contexts, config)
+    assert report.checkpoints_written == 1
+    again = run_campaign(contexts, config, resume=True)
+    assert again.resumed_rows == 10
+    datasets_identical(report.dataset, again.dataset)
 
 
 def test_checkpoint_rejects_foreign_campaign(tmp_path, contexts):

@@ -1,9 +1,17 @@
 """Out-of-core payloads in the run store: streaming ingest, mapped
-loads, schema/column reads, fsck, and the mixed-layout month compare."""
+loads, schema/column reads, fsck, the mixed-layout month compare, and
+the flat-RSS ceiling of a paper-scale round trip."""
+
+import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import repro
 from repro.dataset.generator import (
     CampaignConfig,
     generate_campaign,
@@ -172,3 +180,59 @@ def test_compare_months_stream_equals_oracle_mixed_layouts(store):
 def test_compare_months_rejects_bad_mode(store):
     with pytest.raises(StoreError, match="mode must be"):
         compare_months(store, ("aug", "nov"), mode="turbo")
+
+
+# -- flat RSS ---------------------------------------------------------------
+
+#: Peak RSS (MiB) each command of a 2M-row generate -> ingest -> compare
+#: round trip must stay under.  The out-of-core path holds a chunk, not
+#: a campaign: in memory, one 1M-row campaign alone costs ~0.8 GiB.
+FLAT_RSS_CEILING_MIB = 150.0
+
+#: Runs each argv of the JSON list in ``sys.argv[1]`` and prints its
+#: exit code and its own peak RSS (``ru_maxrss``, KiB on Linux), one
+#: JSON pair per line.  The commands start from this small interpreter
+#: rather than from the test process because at exec the kernel folds
+#: the replaced image's high-water mark into the new program's
+#: ``ru_maxrss``: started from pytest, a command would report at least
+#: pytest's own size.
+_PEAK_RSS_LAUNCHER = """
+import json, os, subprocess, sys
+for argv in json.loads(sys.argv[1]):
+    proc = subprocess.Popen(argv, stdout=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    print(json.dumps([proc.returncode, usage.ru_maxrss]), flush=True)
+"""
+
+
+def test_paper_scale_round_trip_stays_under_flat_rss_ceiling(tmp_path):
+    """Two 1M-row months streamed from the generator into a store, then
+    the §3.1 Aug->Nov compare, each command in its own interpreter as a
+    user would run it; every one stays under the ceiling."""
+    store = str(tmp_path / "store")
+    cli = [sys.executable, "-m", "repro.cli"]
+    commands = [
+        cli + ["generate", "--year", "2020", "--n-tests", "1000000",
+               "--seed", "20220801", "--store", store,
+               "--store-month", "aug"],
+        cli + ["generate", "--year", "2021", "--n-tests", "1000000",
+               "--seed", "20220802", "--store", store,
+               "--store-month", "nov"],
+        cli + ["runs", "compare", "--store", store, "--months", "aug,nov"],
+    ]
+    src = pathlib.Path(repro.__file__).resolve().parents[1]
+    path = [str(src), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    result = subprocess.run(
+        [sys.executable, "-c", _PEAK_RSS_LAUNCHER, json.dumps(commands)],
+        capture_output=True, text=True, timeout=600, env=env,
+    )
+    assert result.returncode == 0, result.stderr
+    legs = [json.loads(line) for line in result.stdout.splitlines()]
+    assert len(legs) == len(commands), result.stderr
+    for argv, (code, peak_kib) in zip(commands, legs):
+        assert code == 0, (argv[3:], result.stderr)
+        assert 0 < peak_kib / 1024 < FLAT_RSS_CEILING_MIB, (
+            argv[3:], peak_kib / 1024
+        )

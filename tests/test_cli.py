@@ -21,9 +21,18 @@ def test_parser_requires_subcommand():
         build_parser().parse_args([])
 
 
+@pytest.mark.parametrize("command", ["bench", "campaign"])
+def test_retired_commands_exit_2(command):
+    """``campaign`` was folded into ``generate``; ``bench``'s gates are
+    tier-1 tests now."""
+    with pytest.raises(SystemExit) as exc:
+        main([command])
+    assert exc.value.code == 2
+
+
 def test_campaign_command(tmp_path, capsys):
     out = tmp_path / "c.csv"
-    code = main(["campaign", "--tests", "3000", "--seed", "5",
+    code = main(["generate", "--n-tests", "3000", "--seed", "5",
                  "--out", str(out)])
     assert code == 0
     captured = capsys.readouterr().out
@@ -34,7 +43,7 @@ def test_campaign_command(tmp_path, capsys):
 
 def test_campaign_round_trip_preserves_stats(tmp_path):
     out = tmp_path / "c.csv"
-    main(["campaign", "--tests", "2000", "--seed", "6", "--out", str(out)])
+    main(["generate", "--n-tests", "2000", "--seed", "6", "--out", str(out)])
     loaded = Dataset.from_csv(out)
     regenerated = generate_campaign(CampaignConfig(n_tests=2000, seed=6))
     assert loaded.mean_bandwidth() == pytest.approx(
@@ -182,10 +191,12 @@ def test_measure_rejects_out_of_range_flag(campaign_csv, capsys, flag,
 
 
 @pytest.mark.parametrize("argv, field", [
-    (["campaign", "--tests", "0"], "n_tests"),
-    (["campaign", "--tests", "10", "--seed", "-5"], "seed"),
-    (["campaign", "--tests", "10", "--seed", "-1"], "seed"),
-    (["campaign", "--tests", "10", "--seed", str(2 ** 64)], "seed"),
+    (["generate", "--n-tests", "-1"], "n_tests"),
+    (["generate", "--n-tests", "10", "--seed", "-1"], "seed"),
+    (["generate", "--n-tests", "10", "--year", "2020", "--seed", "-5"],
+     "seed"),
+    (["generate", "--n-tests", "10", "--home-path", "--seed", str(2 ** 64)],
+     "seed"),
     (["generate", "--n-tests", "0"], "n_tests"),
     (["generate", "--n-tests", "10", "--seed", "-5"], "seed"),
     (["generate", "--n-tests", "10", "--seed", str(2 ** 64)], "seed"),
@@ -225,28 +236,6 @@ def test_measure_unknown_test_name(campaign_csv, capsys):
     assert "bts-app" in err
 
 
-def test_bench_command(tmp_path, capsys):
-    out = tmp_path / "BENCH_campaign.json"
-    code = main(["bench", "--sizes", "8", "--shards", "2",
-                 "--out", str(out)])
-    assert code == 0
-    captured = capsys.readouterr().out
-    assert "speedup" in captured
-    assert "peak RSS" in captured
-    import json
-
-    summary = json.loads(out.read_text())
-    assert summary["sizes"] == [8]
-    assert summary["all_byte_identical"] is True
-    assert summary["cases"][0]["speedup"] > 0
-
-
-def test_bench_rejects_malformed_sizes(capsys):
-    code = main(["bench", "--sizes", "8,x"])
-    assert code == 2
-    assert "comma-separated integers" in capsys.readouterr().err
-
-
 def test_generate_command_npz(tmp_path, capsys):
     out = tmp_path / "c.npz"
     code = main(["generate", "--n-tests", "4000", "--seed", "5",
@@ -268,44 +257,10 @@ def test_generate_command_format_flag_appends_suffix(tmp_path, capsys):
     assert (tmp_path / "campaign.npz").exists()
 
 
-def test_generate_matches_campaign_output(tmp_path):
-    """`generate` and `campaign` produce the same dataset for one
-    config — the chunked engine is the only path left."""
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    assert main(["generate", "--n-tests", "2000", "--seed", "6",
-                 "--out", str(a)]) == 0
-    assert main(["campaign", "--tests", "2000", "--seed", "6",
-                 "--out", str(b)]) == 0
-    assert a.read_bytes() == b.read_bytes()
-
-
 def test_generate_rejects_bad_chunk_size(capsys):
     code = main(["generate", "--n-tests", "100", "--chunk-size", "0"])
     assert code == 2
     assert "--chunk-size" in capsys.readouterr().err
-
-
-def test_bench_dataset_command(tmp_path, capsys):
-    out = tmp_path / "BENCH_dataset.json"
-    code = main(["bench", "dataset", "--sizes", "3000",
-                 "--oracle-rows", "400", "--chunk-size", "1024",
-                 "--out", str(out)])
-    assert code == 0
-    captured = capsys.readouterr().out
-    assert "speedup" in captured
-    assert "peak RSS" in captured
-    import json
-
-    summary = json.loads(out.read_text())
-    assert summary["rows"] == [3000]
-    assert summary["all_byte_identical"] is True
-    assert summary["cases"][0]["speedup"] > 0
-
-
-def test_bench_dataset_rejects_malformed_rows(capsys):
-    code = main(["bench", "dataset", "--sizes", "10,y"])
-    assert code == 2
-    assert "comma-separated integers" in capsys.readouterr().err
 
 
 def test_analyze_accepts_npz(tmp_path, capsys):
@@ -418,25 +373,6 @@ def test_fleet_day_rejects_unknown_domain(capsys):
                  "--blackout", "Atlantis:8:10"])
     assert code == 2
     assert "unknown blackout domain" in capsys.readouterr().err
-
-
-def test_bench_fleet_command(tmp_path, capsys):
-    out = tmp_path / "BENCH_fleet.json"
-    code = main([
-        "bench", "fleet", "--users", "10000", "--hours", "2", "--seed", "7",
-        "--workers", "2", "--out", str(out),
-    ])
-    assert code == 0
-    captured = capsys.readouterr().out
-    assert "rerun identical: True" in captured
-    assert "workers identical: True" in captured
-    assert "balanced: True" in captured
-    import json
-
-    summary = json.loads(out.read_text())
-    assert summary["benchmark"] == "fleet-day"
-    assert summary["all_byte_identical"] is True
-    assert summary["accounting_balanced"] is True
 
 
 # -- run store -------------------------------------------------------------
@@ -606,7 +542,7 @@ def test_fleet_day_store_flag(tmp_path, capsys):
     assert "fleet-day" in capsys.readouterr().out
 
 
-# -- out-of-core: generate --format npd / --store, runs show, bench ooc ----
+# -- out-of-core: generate --format npd / --store, runs show -------------
 
 
 def test_generate_npd_out_and_store(tmp_path, capsys):
@@ -686,29 +622,3 @@ def test_runs_show_rejects_unknown_column(tmp_path, capsys):
                  "--columns", "nope"])
     assert code == 2
     assert "unknown columns" in capsys.readouterr().err
-
-
-def test_bench_ooc_command(tmp_path, capsys):
-    out = tmp_path / "BENCH_ooc.json"
-    code = main(["bench", "ooc", "--rows", "20000",
-                 "--verify-rows", "6000", "--rss-ceiling", "4096",
-                 "--out", str(out)])
-    assert code == 0
-    captured = capsys.readouterr().out
-    assert "out-of-core backend bench" in captured
-    assert "generate_ingest" in captured
-    assert "byte-identical to in-memory: True" in captured
-    import json as _json
-
-    summary = _json.loads(out.read_text())
-    assert summary["within_ceiling"] is True
-    assert summary["all_byte_identical"] is True
-    assert set(summary["phases"]) == {"generate_ingest", "compare",
-                                      "verify"}
-
-
-def test_bench_ooc_ceiling_breach_fails(tmp_path, capsys):
-    code = main(["bench", "ooc", "--rows", "20000",
-                 "--verify-rows", "6000", "--rss-ceiling", "1"])
-    assert code == 1
-    assert "breaches" in capsys.readouterr().err
