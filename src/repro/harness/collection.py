@@ -17,10 +17,15 @@ The session bank needs one float per row, not an environment: the
 mean access capacity over the probing window.  :func:`row_capacities`
 computes exactly the float ``row_environment(...).true_mean_capacity``
 would give, for a block of rows at once, without building an
-environment, network, link or server for any of them.  It makes each
-row's own draws in the same order from the same RNG, draws only the
-prefix of the OU grid the window reaches, and runs the recursion, the
-interpolation and the mean as array passes over the block.
+environment, network, link or server for any of them.  It seeds the
+block's RNGs in one array pass (:func:`_block_rngs`, numpy's
+``SeedSequence`` mix over every row at once), makes each row's own
+draws in the same order from an RNG whose state equals
+:func:`_row_rng`'s, draws only the prefix of the OU grid the window
+reaches, and runs the recursion, the interpolation and the mean as
+array passes over the block.  :func:`_row_rng` stays the per-row path
+(environments, retries, the flood bank) and the reference the kernel
+is tested against.
 
 Beyond fidelity, this closes a validation loop: the §3 analyses run on
 measured campaigns must agree with the same analyses on ground-truth
@@ -39,6 +44,7 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from repro.dataset.records import Dataset
 from repro.harness.pairs import (
@@ -68,6 +74,19 @@ SERVER_CAPACITY_MBPS = 1000.0
 #: mark on peak RSS; 1024-row blocks added ~5 MiB to the peak of a
 #: banked 5000-row campaign.
 CAPACITY_BLOCK = 256
+
+# numpy's SeedSequence constants (``bit_generator.pyx``, after
+# O'Neill's ``seed_seq_fe``): the entropy pool's size in uint32 words,
+# the hash constant's start and multiplier while mixing entropy in, the
+# same pair while drawing the state out, and the pool mix multipliers.
+_POOL_SIZE = 4
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = 0xCA01F9DD
+_MIX_MULT_R = 0x4973F715
+_MASK32 = 0xFFFFFFFF
 
 
 def campaign_subset(
@@ -120,6 +139,111 @@ def row_environment(
     )
 
 
+class _RowSeed(ISeedSequence):
+    """One row's PCG64 seed: the four ``uint64`` words
+    ``SeedSequence(entropy).generate_state(4, np.uint64)`` gives."""
+
+    __slots__ = ("_words",)
+
+    def __init__(self, words: np.ndarray):
+        self._words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or dtype is not np.uint64:
+            raise ValueError(
+                f"a row seed holds 4 uint64 words, asked for {n_words} "
+                f"{dtype}"
+            )
+        return self._words
+
+
+def _constants(start: int, mult: int, n: int) -> np.ndarray:
+    """``start`` and its ``n`` successive wrapping products by
+    ``mult``, as a ``(n + 1, 1)`` uint32 column."""
+    values = [start]
+    for _ in range(n):
+        values.append((values[-1] * mult) & _MASK32)
+    return np.array(values, dtype=np.uint32)[:, None]
+
+
+def _hashmix(values: np.ndarray, h: np.ndarray, call: int, k: int):
+    """numpy's ``hashmix``, calls ``call .. call + k - 1`` at once:
+    row ``r`` of ``values`` is mixed under hash constant ``h[call + r]``,
+    which the call then advances to ``h[call + r + 1]``."""
+    values = (values ^ h[call:call + k]) * h[call + 1:call + k + 1]
+    values ^= values >> 16
+    return values
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """numpy's ``mix`` of two uint32 arrays, elementwise."""
+    result = x * _MIX_MULT_L - y * _MIX_MULT_R
+    result ^= result >> 16
+    return result
+
+
+def _seed_words(base: int, offsets: np.ndarray) -> np.ndarray:
+    """The four ``uint64`` PCG64 seed words of each entropy value
+    ``base + offsets[k]``, as ``SeedSequence`` derives them.
+
+    ``base`` is a non-negative int of any size, ``offsets`` a uint64
+    array.  Every pass is a wrapping uint32 array op over the rows.
+    The hash constants advance the same way for every row, so each
+    sequence is computed once as a uint32 column; no operand is a
+    Python int of 2**32 or more, which NEP 50 refuses against uint32.
+    """
+    # words[j] is word j of every value, little-endian uint32, zero-
+    # padded to the pool size: hashing a missing word and a zero word
+    # is the same below the pool size, and no further.
+    width = max(_POOL_SIZE, -(-base.bit_length() // 32) + 1)
+    words = np.empty((width, len(offsets)), dtype=np.uint32)
+    rest = offsets
+    for j in range(width):
+        total = (rest & _MASK32) + ((base >> 32 * j) & _MASK32)
+        words[j] = total & _MASK32
+        rest = (rest >> 32) + (total >> 32)
+    # A row has word j when it or a later word is non-zero.
+    present = np.logical_or.accumulate(words[::-1] != 0, axis=0)[::-1]
+
+    # One hashmix call per pool word, per (src, dst) pair of pool words
+    # and per (word past the pool, dst): 4 x width calls in all.
+    h = _constants(_INIT_A, _MULT_A, _POOL_SIZE * width)
+    pool = _hashmix(words[:_POOL_SIZE], h, 0, _POOL_SIZE)
+    call = _POOL_SIZE
+    for src in range(_POOL_SIZE):
+        dst = [i for i in range(_POOL_SIZE) if i != src]
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], h, call, 3))
+        call += 3
+    for j in range(_POOL_SIZE, width):
+        mixed = _mix(pool, _hashmix(words[j], h, call, _POOL_SIZE))
+        pool = np.where(present[j], mixed, pool)
+        call += _POOL_SIZE
+
+    g = _constants(_INIT_B, _MULT_B, 2 * _POOL_SIZE)
+    state = (np.concatenate([pool, pool]) ^ g[:-1]) * g[1:]
+    state ^= state >> 16
+    return (
+        np.ascontiguousarray(state.T, dtype="<u4")
+        .view("<u8")
+        .astype(np.uint64)
+    )
+
+
+def _block_rngs(seed: int, indices) -> list:
+    """The first-attempt RNGs of rows ``indices``, seeded in one array
+    pass; each one's state equals ``_row_rng(..., index, seed)``'s."""
+    indices = np.asarray(indices, dtype=np.int64)
+    first = int(indices.min())
+    base = seed + 31 * (first + 1)
+    if base < 0:
+        raise ValueError("expected non-negative integer")
+    offsets = (indices - first).astype(np.uint64) * np.uint64(31)
+    return [
+        np.random.Generator(np.random.PCG64(_RowSeed(words)))
+        for words in _seed_words(base, offsets)
+    ]
+
+
 def row_capacities(
     subset: Dataset, indices, seed: int, window_s: float
 ) -> np.ndarray:
@@ -129,11 +253,16 @@ def row_capacities(
     Element ``k`` is, bit for bit,
     ``row_environment(subset, indices[k], seed).true_mean_capacity(0.0,
     window_s)``, with the same errors for a bad index or a capacity
-    that is not positive.  Rows go through the array passes
-    :data:`CAPACITY_BLOCK` at a time; a shaped link (1% of rows) takes
-    its own trace's mean.
+    that is not positive; every index is checked before any row is
+    seeded.  Rows go through the array passes :data:`CAPACITY_BLOCK`
+    at a time, starting with their RNGs' seeding; a shaped link (1% of
+    rows) takes its own trace's mean.
     """
     indices = [int(i) for i in indices]
+    n_rows = len(subset)
+    for index in indices:
+        if not 0 <= index < n_rows:
+            raise IndexError(f"row {index} outside subset of {n_rows}")
     out = np.empty(len(indices))
     lo, hi, frac = grid_positions(
         sample_times(0.0, window_s), ACCESS_TRACE_S,
@@ -142,13 +271,13 @@ def row_capacities(
     # The window reads grid points 0..max(hi), so max(hi) shocks; the
     # row's stream is never read after them.
     n_shocks = int(hi.max())
-    n_rows = len(subset)
     bandwidth = subset.bandwidth
     for start in range(0, len(indices), CAPACITY_BLOCK):
+        block = indices[start:start + CAPACITY_BLOCK]
         ou_rows, bases, sigmas, x0s, shocks = [], [], [], [], []
-        for k in range(start, min(start + CAPACITY_BLOCK, len(indices))):
-            index = indices[k]
-            rng = _row_rng(n_rows, index, seed)
+        for k, index, rng in zip(
+            range(start, start + len(block)), block, _block_rngs(seed, block)
+        ):
             base = positive_capacity(float(bandwidth[index]))
             weather = _access_draws(base, rng)
             if isinstance(weather, ShapedTrace):

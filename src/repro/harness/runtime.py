@@ -46,6 +46,7 @@ from __future__ import annotations
 import json
 import time
 import zlib
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Union
@@ -408,30 +409,39 @@ def iter_banked_rows(
     Banks are yielded in ``indices`` order, rows in ``indices`` order
     within each; per-row results are order-free by construction.
 
-    Metrics parity: banked rows record the same per-row counters as
-    :func:`measure_row` (rows measured, zero retries, the outcome
-    taxonomy) and share the bank's wall time evenly across its rows'
-    ``campaign.row_wall_s`` observations.
+    Metrics parity: every integer in the metrics snapshot is what
+    calling :func:`measure_row` per row records (rows measured, zero
+    retries, the outcome taxonomy, one ``campaign.row_wall_s``
+    observation a row), but the counters are looked up once per call
+    and incremented once per bank, by the bank's counts.  Each row
+    observes an even share of its bank's wall time, which runs from
+    before the bank's inputs (capacities or environments) are built.
     """
     executor = executor_for(service, ExecutionMode.AUTO)
     if executor.run_bank is None:
         raise ValueError(f"{type(service).__name__} cannot be banked")
     if bank_size is None:
         bank_size = executor.bank_size
-    metrics = active_registry()
     indices = list(indices)
+    if not indices:
+        return
+    metrics = active_registry()
+    measured = metrics.counter("campaign.rows_measured")
+    retries = metrics.counter("campaign.retries")
+    row_wall = metrics.histogram("campaign.row_wall_s")
     for start in range(0, len(indices), bank_size):
         pending = indices[start:start + bank_size]
         bandwidth, outcomes, bank_s = executor.run_bank(
             service, subset, pending, seed
         )
+        measured.inc(len(pending))
+        retries.inc(0)
+        for value, count in Counter(o.value for o in outcomes).items():
+            metrics.counter(f"campaign.outcome.{value}").inc(count)
         per_row_s = bank_s / len(pending)
         batch = []
-        for index, mbps, outcome in zip(pending, bandwidth, outcomes):
-            metrics.counter("campaign.rows_measured").inc()
-            metrics.counter("campaign.retries").inc(0)
-            metrics.counter(f"campaign.outcome.{outcome.value}").inc()
-            metrics.histogram("campaign.row_wall_s").observe(per_row_s)
+        for index, mbps in zip(pending, bandwidth):
+            row_wall.observe(per_row_s)
             batch.append(
                 (index, _RowState(measured_mbps=float(mbps), attempts=1))
             )
@@ -440,9 +450,9 @@ def iter_banked_rows(
 
 def _flood_bank(service, subset: Dataset, pending, seed: int):
     """One BTS-APP bank over rows ``pending``: each row's bandwidth and
-    outcome, and the seconds the bank took."""
-    envs = [row_environment(subset, index, seed) for index in pending]
+    outcome, and the seconds the bank took, environments included."""
     started = time.perf_counter()
+    envs = [row_environment(subset, index, seed) for index in pending]
     results = service.run_bank(envs)
     bank_s = time.perf_counter() - started
     return (
@@ -454,13 +464,13 @@ def _flood_bank(service, subset: Dataset, pending, seed: int):
 
 def _session_bank(service, subset: Dataset, pending, seed: int):
     """One loopback bank over rows ``pending``: each row's bandwidth
-    and outcome, and the seconds the bank took.  Only the bandwidth
-    array outlives the call; the bank's per-tick sample arrays are
-    freed before the next block's capacity pass."""
+    and outcome, and the seconds the bank took, capacities included.
+    Only the bandwidth array outlives the call; the bank's per-tick
+    sample arrays are freed before the next block's capacity pass."""
     from repro.core.sessionbank import run_session_bank
 
-    capacities = row_capacities(subset, pending, seed, service.max_duration_s)
     started = time.perf_counter()
+    capacities = row_capacities(subset, pending, seed, service.max_duration_s)
     bank = run_session_bank(
         service.model,
         capacities,

@@ -1,6 +1,7 @@
 """The fleet-day simulator end to end: accounting, manifests,
 determinism across runs and worker counts."""
 
+import copy
 import json
 
 import pytest
@@ -17,8 +18,17 @@ SMALL = dict(users=20_000, hours=3, seed=7)
 BLACKOUT = (("Beijing", 3600.0, 5400.0),)
 
 
-def outcomes_bytes(manifest):
-    return json.dumps(manifest["outcomes"], sort_keys=True).encode()
+def deterministic_bytes(manifest, *dropped):
+    """The whole manifest as JSON bytes, less its wall-clock fields
+    (``created_unix_s``, ``run.elapsed_s``) and each ``(section, key)``
+    in ``dropped``.  The blackout leaves ``outcomes`` as it is at this
+    size; it moves breaker trips and the ``health.*`` metrics, so those
+    are compared too."""
+    kept = copy.deepcopy(manifest)
+    del kept["created_unix_s"]
+    for section, key in (("run", "elapsed_s"),) + dropped:
+        del kept[section][key]
+    return json.dumps(kept, sort_keys=True).encode()
 
 
 def test_quiet_day_everything_completes():
@@ -45,7 +55,8 @@ def test_same_seed_same_outcomes_byte_identical():
     config = FleetDayConfig(blackouts=BLACKOUT, **SMALL)
     _, first = run_fleet_day(config)
     _, second = run_fleet_day(config)
-    assert outcomes_bytes(first) == outcomes_bytes(second)
+    assert first["run"]["breaker_trips"] > 0
+    assert deterministic_bytes(first) == deterministic_bytes(second)
 
 
 def test_worker_count_never_changes_outcomes():
@@ -53,7 +64,9 @@ def test_worker_count_never_changes_outcomes():
     sharded = FleetDayConfig(blackouts=BLACKOUT, workers=4, **SMALL)
     _, a = run_fleet_day(serial)
     _, b = run_fleet_day(sharded)
-    assert outcomes_bytes(a) == outcomes_bytes(b)
+    assert a["run"]["breaker_trips"] > 0
+    workers = (("config", "workers"), ("run", "workers"))
+    assert deterministic_bytes(a, *workers) == deterministic_bytes(b, *workers)
 
 
 def test_different_seed_different_outcomes():

@@ -6,7 +6,10 @@ import pytest
 from repro.dataset.generator import CampaignConfig as GenerationConfig
 from repro.dataset.generator import generate_campaign
 from repro.dataset.records import SCHEMA, Dataset
+import repro.harness.collection as collection
 from repro.harness.collection import (
+    CAPACITY_BLOCK,
+    _block_rngs,
     measurement_error_stats,
     row_capacities,
     row_environment,
@@ -212,6 +215,74 @@ def test_row_capacities_raise_what_row_environment_raises(contexts):
             row_capacities(contexts, [0, index], 5, 5.0)
     with pytest.raises(ValueError, match="end must follow start"):
         row_capacities(contexts, [0], 5, 0.0)
+
+
+def test_row_capacities_check_every_index_before_seeding(
+    contexts, monkeypatch
+):
+    seeded = []
+    monkeypatch.setattr(
+        collection, "_block_rngs", lambda seed, block: seeded.append(block)
+    )
+    rows = list(range(CAPACITY_BLOCK)) + [len(contexts)]
+    with pytest.raises(IndexError, match="outside subset"):
+        row_capacities(contexts, rows, 5, 5.0)
+    assert seeded == []
+
+
+# -- the block seeding kernel -------------------------------------------
+
+#: Seeds the kernel is checked at: one to five entropy words, with
+#: carries across 2**32, 2**64 and 2**128 (a fifth word) and a seed past
+#: 2**128 whose rows all take the extra-word rounds.
+SEEDING_SEEDS = (
+    0, 1, 2**32 - 32, 2**32 - 1, 2**63, 2**64 - 1, 2**70,
+    2**128 - 31, 2**128 - 1, 2**200,
+)
+
+#: Row indices whose offsets ``31 (index + 1)`` reach past 2**32 and up
+#: to just below 2**64, beside 253 small ones: 257 rows in all.
+SEEDING_ROWS = np.concatenate([
+    np.arange(253), [2**32 // 31 - 1, 2**32 // 31, 2**58, 2**59 - 2],
+])
+
+
+@pytest.mark.parametrize("seed", SEEDING_SEEDS)
+def test_block_seeding_equals_numpy_seeding(seed):
+    """Every RNG the kernel seeds has the state of
+    ``default_rng(seed + 31 (index + 1))``, the per-row path's RNG,
+    for blocks of any size in any order."""
+    rows = np.random.default_rng(seed % 2**32).permutation(SEEDING_ROWS)
+    expected = {
+        int(index): np.random.default_rng(
+            seed + 31 * (int(index) + 1)
+        ).bit_generator.state
+        for index in rows
+    }
+    for block in (1, 7, 256, 257):
+        for start in range(0, len(rows), block):
+            indices = rows[start:start + block]
+            rngs = _block_rngs(seed, indices)
+            assert len(rngs) == len(indices)
+            for index, rng in zip(indices, rngs):
+                assert rng.bit_generator.state == expected[int(index)], (
+                    block, int(index)
+                )
+
+
+def test_block_seeding_refuses_negative_entropy_like_numpy():
+    """A negative seed is entropy like any other while every row's
+    ``seed + 31 (index + 1)`` stays non-negative, and fails as numpy
+    fails once a row's does not."""
+    assert _block_rngs(-31, [1, 0])[1].bit_generator.state == (
+        np.random.default_rng(0).bit_generator.state
+    )
+    for seed, rows in ((-32, [0]), (-100, [5, 0])):
+        with pytest.raises(ValueError) as per_row:
+            np.random.default_rng(seed + 31)
+        with pytest.raises(ValueError) as kernel:
+            _block_rngs(seed, rows)
+        assert str(kernel.value) == str(per_row.value)
 
 
 def test_banked_campaign_matches_per_row_measurement(contexts):

@@ -8,6 +8,7 @@ the mode as its plain string.
 """
 
 import json
+import time
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from repro.harness.runtime import (
     bankable_service,
     iter_banked_rows,
 )
+from repro.obs.metrics import MetricsRegistry, use_registry
 
 
 @pytest.fixture(scope="module")
@@ -269,6 +271,88 @@ def test_iter_banked_rows_bank_size_is_invisible(contexts):
     reference = states(4096)
     assert states(1) == reference
     assert states(7) == reference
+
+
+# -- metrics: banked rows record what per-row rows record -----------------
+
+
+def _campaign_metrics(contexts, config):
+    """The ``campaign.*`` counters, and the ``campaign.row_wall_s``
+    count and bucket total, of one run under a caller registry."""
+    registry = MetricsRegistry()
+    with use_registry(registry):
+        run_campaign(contexts, config)
+    snapshot = registry.to_dict()
+    counters = {
+        name: entry["value"]
+        for name, entry in snapshot.items()
+        if name.startswith("campaign.") and entry["kind"] == "counter"
+    }
+    wall = snapshot["campaign.row_wall_s"]
+    return counters, wall["count"], sum(wall["buckets"])
+
+
+@pytest.mark.parametrize("test, n_rows", [
+    ("swiftest-loopback", 48),
+    ("bts-app", 8),
+])
+def test_banked_metrics_equal_per_row_metrics(contexts, test, n_rows):
+    """Counting once per bank records the integers counting once per
+    row records: rows measured, retries, every outcome, and one wall
+    time observation a row."""
+    config = dict(seed=17, test=test, max_tests=n_rows)
+    banked = _campaign_metrics(
+        contexts, CampaignConfig(mode="vectorized", **config)
+    )
+    per_row = _campaign_metrics(
+        contexts, CampaignConfig(mode="oracle", **config)
+    )
+    assert banked == per_row
+    counters, count, bucket_total = banked
+    assert counters["campaign.rows_measured"] == n_rows
+    assert counters["campaign.retries"] == 0
+    assert sum(
+        value for name, value in counters.items()
+        if name.startswith("campaign.outcome.")
+    ) == n_rows
+    assert count == bucket_total == n_rows
+
+
+def test_banked_row_wall_time_covers_the_banks_inputs(
+    contexts, monkeypatch
+):
+    """A bank's wall time, which its rows' ``campaign.row_wall_s``
+    share, runs from before its inputs are built, as a per-row
+    measurement's runs from before its environment: a loopback bank's
+    capacities, a BTS-APP bank's environments."""
+    import repro.harness.runtime as runtime_mod
+
+    pause_s = 0.25
+
+    def slowed(build):
+        def slow_build(*args, **kwargs):
+            time.sleep(pause_s)
+            return build(*args, **kwargs)
+        return slow_build
+
+    for name in ("row_capacities", "row_environment"):
+        monkeypatch.setattr(
+            runtime_mod, name, slowed(getattr(runtime_mod, name))
+        )
+    # One capacity pass for the loopback bank, one environment a row for
+    # the BTS-APP bank.
+    for test, n_rows, slept_s in (
+        ("swiftest-loopback", 48, pause_s),
+        ("bts-app", 2, 2 * pause_s),
+    ):
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            run_campaign(contexts, CampaignConfig(
+                seed=17, test=test, max_tests=n_rows, mode="vectorized"
+            ))
+        wall = registry.histogram("campaign.row_wall_s")
+        assert wall.count == n_rows
+        assert wall.sum >= slept_s, test
 
 
 # -- persistence: checkpoints and manifests ----------------------------

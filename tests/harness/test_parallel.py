@@ -140,7 +140,7 @@ def test_shard_of_keeps_signed_64_bit_assignments():
     assert shard_of(np.int64(11), 2, 8) == 5
 
 
-@pytest.mark.parametrize("seed", [2**63, 2**70])
+@pytest.mark.parametrize("seed", [2**63, 2**70, 2**128 - 1])
 def test_seeds_past_int64_shard_like_any_other(contexts, seed):
     serial = run_campaign(contexts, config_with(seed=seed))
     sharded = run_campaign(
