@@ -161,7 +161,6 @@ def cmd_generate(args: argparse.Namespace) -> int:
                     run_id = store.ingest_run(
                         _manifest(), Dataset.open_mapped(out),
                         label=args.label or "", month=args.store_month,
-                        layout="npd",
                     )
         else:
             from repro.store import RunStore

@@ -9,9 +9,12 @@ discrete-event engine, with a capacity cap dropping DATA packets that
 exceed the simulated access link.
 
 It exists to prove the protocol state machines interoperate
-end-to-end (session setup → rate commands → paced DATA → FIN) and is
-used by integration tests and the protocol documentation; large-scale
-experiments stay on the fluid path for speed.
+end-to-end (session setup → rate commands → paced DATA → FIN), and it
+is the oracle of :mod:`repro.core.sessionbank`: every fault-free
+session the bank runs, campaign rows and
+:class:`~repro.core.variants.LoopbackSwiftest` alike, must match this
+per-packet loop field for field.  It is the one path that encodes every
+packet on the wire and the one that takes DATA-plane faults.
 
 Both directions can be impaired with a
 :class:`~repro.netsim.faults.FaultInjector`:
@@ -46,9 +49,9 @@ from repro.core.protocol import (
     decode,
 )
 from repro.core.server import SwiftestServer
-from repro.execmode import ExecutionMode
 from repro.netsim.engine import Simulator
 from repro.netsim.faults import Delivery, FaultInjector
+from repro.netsim.trace import positive_capacity
 from repro.units import SAMPLE_INTERVAL_S
 
 
@@ -104,7 +107,6 @@ def run_loopback_session(
     control_faults: Optional[FaultInjector] = None,
     control_timeout_s: float = 0.2,
     control_retries: int = 3,
-    mode: Optional[ExecutionMode] = None,
 ) -> LoopbackResult:
     """Run one probing session at packet granularity.
 
@@ -115,8 +117,9 @@ def run_loopback_session(
         :class:`~repro.core.registry.TechnologyModel` or any duck-typed
         ladder).
     capacity_mbps:
-        Access-link cap: DATA packets beyond it within each 50 ms
-        interval are dropped, exactly like a policer.
+        Access-link cap, positive and finite (``ValueError``
+        otherwise): DATA packets beyond it within each 50 ms interval
+        are dropped, exactly like a policer.
     data_faults / control_faults:
         Optional impairments on the DATA stream and the control
         channel respectively (see module docstring).
@@ -124,33 +127,8 @@ def run_loopback_session(
         Retransmission budget for each control exchange; a control
         message that is never acked within the budget aborts the
         session setup (outcome ``FAILED``) or, mid-test, degrades it.
-    mode:
-        :class:`~repro.execmode.ExecutionMode` for the 50 ms interval
-        loop.  ``oracle`` forces the historical per-packet loop;
-        ``vectorized`` demands the fast path and raises if DATA faults
-        make it unsound; ``auto`` (the default) takes the fast path
-        exactly when ``data_faults is None``.  The fast path reduces
-        each fault-free interval to closed-form counter arithmetic
-        (``delivered = min(sent, policer budget)``) over
-        :meth:`~repro.core.server.SwiftestServer.emit_count` — no
-        packet objects, no pack/decode.  The counters, samples, rates
-        and controller decisions are *bit-identical* to the per-packet
-        loop; only ~40k object constructions and codec round-trips per
-        session disappear.
     """
-    if capacity_mbps <= 0:
-        raise ValueError(f"capacity must be positive, got {capacity_mbps}")
-    resolved = ExecutionMode.coerce(mode)
-    if resolved is ExecutionMode.VECTORIZED and data_faults is not None:
-        raise ValueError(
-            "vectorized loopback cannot apply DATA-plane faults; "
-            "pass mode='oracle' (or 'auto') with data_faults"
-        )
-    fast_path = (
-        data_faults is None
-        if resolved is ExecutionMode.AUTO
-        else resolved is ExecutionMode.VECTORIZED
-    )
+    positive_capacity(capacity_mbps)
     if control_timeout_s <= 0:
         raise ValueError(f"control timeout must be positive, got {control_timeout_s}")
     if control_retries < 0:
@@ -244,38 +222,30 @@ def run_loopback_session(
     def interval() -> None:
         if state["finished"]:
             return
-        if fast_path:
-            # Vectorized interval: the policer verdict is pure counter
-            # arithmetic — same floats, same ints as the packet loop
-            # below, since a fault-free wire delivers every survivor.
-            sent = server.emit_count(session_id, sim.now, SAMPLE_INTERVAL_S)
-            delivered = min(sent, int(budget_per_interval))
-            state["dropped"] += sent - delivered
-        else:
-            packets = server.emit(session_id, sim.now, SAMPLE_INTERVAL_S)
-            sent = len(packets)
-            # The capacity cap polices first; survivors then cross the
-            # (possibly impaired) access link as real wire bytes.
-            capped = packets[: int(budget_per_interval)]
-            state["dropped"] += len(packets) - len(capped)
-            wires = [pkt.pack() for pkt in capped]
-            arrived = (
-                data_faults.transmit_batch(wires, sim.now)
-                if data_faults is not None
-                else wires
-            )
-            state["dropped"] += len(wires) - len(arrived)
-            delivered = 0
-            for wire in arrived:
-                try:
-                    decoded = decode(wire)
-                except ProtocolError:
-                    # Bit-flipped DATA: unusable, counts as loss.
-                    state["corrupted"] += 1
-                    state["dropped"] += 1
-                    continue
-                if decoded.session_id == session_id:
-                    delivered += 1
+        packets = server.emit(session_id, sim.now, SAMPLE_INTERVAL_S)
+        sent = len(packets)
+        # The capacity cap polices first; survivors then cross the
+        # (possibly impaired) access link as real wire bytes.
+        capped = packets[: int(budget_per_interval)]
+        state["dropped"] += len(packets) - len(capped)
+        wires = [pkt.pack() for pkt in capped]
+        arrived = (
+            data_faults.transmit_batch(wires, sim.now)
+            if data_faults is not None
+            else wires
+        )
+        state["dropped"] += len(wires) - len(arrived)
+        delivered = 0
+        for wire in arrived:
+            try:
+                decoded = decode(wire)
+            except ProtocolError:
+                # Bit-flipped DATA: unusable, counts as loss.
+                state["corrupted"] += 1
+                state["dropped"] += 1
+                continue
+            if decoded.session_id == session_id:
+                delivered += 1
         state["delivered"] += delivered
         # Loss-aware sample accounting: a lost packet lowers the
         # observed rate for this interval, nothing stalls the stream.

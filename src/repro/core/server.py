@@ -176,30 +176,6 @@ class SwiftestServer:
         session.last_activity_s = now_s
         return packets
 
-    def emit_count(self, session_id: int, now_s: float, interval_s: float) -> int:
-        """How many DATA packets the session owes for the interval,
-        advancing the exact same session state as :meth:`emit`
-        (``next_seq``, ``bytes_sent``, pacing carry, activity clock)
-        without materialising the packet objects.
-
-        This is the vectorized loopback's fast path: when nothing
-        inspects individual packets, building and re-decoding tens of
-        thousands of :class:`~repro.core.protocol.Data` objects per
-        session is pure overhead.  A session driven through
-        ``emit_count`` is indistinguishable — field for field — from
-        one driven through :meth:`emit`.
-        """
-        session = self.sessions.get(session_id)
-        if session is None:
-            raise ProtocolError(f"unknown session {session_id}")
-        if session.state is not SessionState.SENDING:
-            return 0
-        due = session.packets_due(interval_s)
-        session.next_seq += due
-        session.bytes_sent += due * DATA_PAYLOAD_BYTES
-        session.last_activity_s = now_s
-        return due
-
     # -- housekeeping --------------------------------------------------
 
     def reap_idle(self, now_s: float, timeout_s: float = SESSION_TIMEOUT_S) -> int:

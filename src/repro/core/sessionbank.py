@@ -1,15 +1,18 @@
 """Batched vectorized Swiftest sessions (oracle pattern, round 2).
 
-:func:`repro.core.loopback.run_loopback_session` runs *one* probing
-session per call; even its vectorized interval loop pays Python's
-per-tick, per-session overhead, which caps the campaign engine at a
-few hundred rows per second per core.  This module runs **N sessions
-in lockstep** over columnar state arrays: every 50 ms tick is a handful
-of NumPy operations across all still-active sessions — per-session
-ladder rung and commanded probing rate, the wire-quantized server
-pacing rate, convergence-window statistics
-(:class:`~repro.core.convergence.RollingConvergenceKernel`), the
-loss-discounted saturation floor
+:func:`repro.core.loopback.run_loopback_session` runs one probing
+session per call, packet by packet: it builds, encodes and decodes
+every DATA packet of every 50 ms interval, which is what makes it the
+oracle and what makes it slow.  This module is the one engine for
+every fault-free session: it runs **N sessions in lockstep** over
+columnar state arrays, a campaign's rows thousands at a time
+(:func:`repro.harness.runtime.iter_banked_rows`) and a single
+:class:`~repro.core.variants.LoopbackSwiftest` run one session wide.
+Every 50 ms tick is a handful of NumPy operations across all
+still-active sessions — per-session ladder rung and commanded probing
+rate, the wire-quantized server pacing rate, convergence-window
+statistics (:class:`~repro.core.convergence.RollingConvergenceKernel`),
+the loss-discounted saturation floor
 (:func:`~repro.core.probing.saturation_floor`), and elapsed/duration
 bookkeeping.  A done-mask drops finished sessions from the tick, so a
 bank's cost tracks the *active* population.
@@ -38,8 +41,9 @@ How bit-equality is achieved (the same playbook as PR 4):
   evaluated on the window *in push order*, exactly as the scalar
   detector's deque would yield it.
 
-A bank cannot express data-plane faults, services other than the
-loopback, or rate models other than a ladder; one level up,
+A bank cannot express data-plane or control-plane faults (those
+sessions run the per-packet loop) or services other than the
+loopback; one level up,
 :func:`repro.harness.runtime.bankable_service` sends campaigns of
 such services row by row instead (BTS-APP through its own flood
 bank, :mod:`repro.baselines.floodbank`).  A campaign row never carries a
@@ -49,6 +53,7 @@ fault plan, so every row of a bankable campaign is banked (see
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -93,13 +98,21 @@ def _ladder_rungs(model) -> np.ndarray:
     Built by iterating ``next_rate_mbps`` from the initial rate — the
     exact multiplication chain the scalar controller walks — so rung
     k+1 is bit-equal to what the controller would compute from rung k.
+    A rung that does not rise, or is not finite, raises ``ValueError``:
+    such a ladder might never reach its top, and this loop with it.
     """
     rungs = [float(model.initial_rate_mbps())]
     while True:
         nxt = model.next_rate_mbps(rungs[-1])
         if nxt is None:
             return np.asarray(rungs, dtype=np.float64)
-        rungs.append(float(nxt))
+        nxt = float(nxt)
+        if not (nxt > rungs[-1] and math.isfinite(nxt)):
+            raise ValueError(
+                f"ladder rungs must rise to a finite top, got {nxt} "
+                f"after {rungs[-1]}"
+            )
+        rungs.append(nxt)
 
 
 def _wire_rate(rate_mbps: np.ndarray, server_capacity: np.ndarray) -> np.ndarray:
@@ -168,9 +181,10 @@ class SessionBank:
     access-link policer cap, ``server_capacity_mbps`` each session's
     server uplink, ``max_duration_s`` the shared probing budget.  The
     ``model`` must be a ladder (``initial_rate_mbps`` /
-    ``next_rate_mbps`` reaching a finite top), shared by all sessions —
-    :class:`~repro.core.variants.FixedLadderModel` in the campaign
-    path.
+    ``next_rate_mbps`` rising to a finite top), shared by all sessions:
+    a :class:`~repro.core.variants.FixedLadderModel` or a fitted
+    :class:`~repro.core.registry.TechnologyModel`.  Capacities must be
+    positive and finite (``ValueError`` otherwise), as the oracle's.
     """
 
     def __init__(
@@ -183,14 +197,18 @@ class SessionBank:
         self.capacity = np.ascontiguousarray(capacity_mbps, dtype=np.float64)
         if self.capacity.ndim != 1 or self.capacity.size == 0:
             raise ValueError("capacity_mbps must be a non-empty 1-D array")
-        if np.any(self.capacity <= 0):
-            raise ValueError("capacity must be positive for every session")
+        if not np.all((self.capacity > 0) & np.isfinite(self.capacity)):
+            raise ValueError(
+                "capacity must be positive and finite for every session"
+            )
         n = self.capacity.size
         self.server_capacity = np.broadcast_to(
             np.asarray(server_capacity_mbps, dtype=np.float64), (n,)
         ).copy()
-        if np.any(self.server_capacity <= 0):
-            raise ValueError("server capacity must be positive")
+        if not np.all(
+            (self.server_capacity > 0) & np.isfinite(self.server_capacity)
+        ):
+            raise ValueError("server capacity must be positive and finite")
         if max_duration_s <= SAMPLE_INTERVAL_S:
             raise ValueError(
                 f"max_duration_s must exceed one interval, got {max_duration_s}"

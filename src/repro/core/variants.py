@@ -12,9 +12,10 @@ choice buys:
 * :class:`TcpSwiftest` — the §7 alternative: keep the convergence
   rule but probe over TCP/BBR flooding instead of commanded-rate UDP,
   isolating the value of skipping slow start;
-* :class:`LoopbackSwiftest` — the packet-level protocol loopback
-  (:mod:`repro.core.loopback`) packaged as a bandwidth test, the
-  cheap per-row service the sharded campaign engine defaults to.
+* :class:`LoopbackSwiftest` — Swiftest's commanded-rate UDP session
+  (:mod:`repro.core.loopback`, run through the session bank) packaged
+  as a bandwidth test, the cheap service of ``swiftest-loopback``
+  campaigns.
 
 Convergence-threshold ablations need no variant class: pass a custom
 :class:`~repro.core.convergence.ConvergenceDetector` through
@@ -33,6 +34,7 @@ rebuild a test from its ``(name, kwargs)`` alone.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import (
     Callable,
@@ -54,9 +56,9 @@ from repro.baselines.driver import (
 )
 from repro.core.convergence import ConvergenceDetector
 from repro.core.protocol import DATA_PAYLOAD_BYTES
-from repro.execmode import ExecutionMode
 from repro.tcp.slowstart import check_cc_name
 from repro.testbed.env import TestEnvironment
+from repro.units import SAMPLE_INTERVAL_S
 
 
 @runtime_checkable
@@ -102,6 +104,10 @@ class FixedLadderModel:
             raise ValueError("ladder must start above zero")
         if self.step_factor <= 1.0:
             raise ValueError("step factor must exceed 1")
+        if not math.isfinite(self.top_mbps):
+            # An infinite top never ends the ladder, so a bank would
+            # never finish its rung table.
+            raise ValueError(f"ladder top must be finite, got {self.top_mbps}")
 
     def initial_rate_mbps(self) -> float:
         return self.start_mbps
@@ -180,69 +186,63 @@ class TcpSwiftest(BandwidthTestService):
 
 
 class LoopbackSwiftest(BandwidthTestService):
-    """Swiftest's packet-level protocol loopback as a bandwidth test.
+    """Swiftest's commanded-rate UDP session as a bandwidth test.
 
-    Wraps :func:`repro.core.loopback.run_loopback_session` behind the
-    :class:`BandwidthTest` protocol: the access capacity is the
-    environment's true mean capacity over the probing window, the PING
-    phase costs one RTT to the nearest server, and the session's
-    :class:`~repro.baselines.common.TestOutcome` carries through.
+    The access capacity is the environment's true mean capacity over
+    the probing window, the server uplink is the nearest server's, the
+    PING phase costs one RTT to that server, and the session's
+    :class:`~repro.baselines.common.TestOutcome` carries through.  A
+    run is a one-session :class:`~repro.core.sessionbank.SessionBank`,
+    so a row measured on its own and a row of a wide bank (see
+    :func:`repro.harness.runtime.iter_banked_rows`) take the same
+    kernel; :func:`repro.core.loopback.run_loopback_session`, the
+    per-packet loop, is the oracle both are tested against.
 
     This is the service behind ``--test swiftest-loopback`` campaigns
-    and the pipeline benchmark's measure-swiftest workload: the
-    loopback exercises the real protocol state machines yet costs a
-    few milliseconds per row once the interval loop is vectorized,
-    and whole campaigns of fault-free rows run in lockstep through the
-    :class:`~repro.core.sessionbank.SessionBank` (see
-    :func:`repro.harness.runtime.iter_banked_rows`).  ``mode`` is the
-    :class:`~repro.execmode.ExecutionMode` of the interval loop:
-    ``auto`` (default) takes the numpy fast path whenever no data-plane
-    faults are injected, ``oracle`` forces the per-packet loop (the
-    reference the fast path and the session bank are checked against),
-    ``vectorized`` demands the fast path.
+    and the pipeline benchmark's measure-swiftest workload.  ``model``
+    is any ladder the bank can walk (a
+    :class:`FixedLadderModel` by default, or a fitted
+    :class:`~repro.core.registry.TechnologyModel`);
+    ``max_duration_s`` must exceed one 50 ms sample interval.
     """
 
     name = "swiftest-loopback"
 
-    def __init__(
-        self,
-        model=None,
-        max_duration_s: float = 5.0,
-        mode: Optional["ExecutionMode"] = None,
-    ):
+    def __init__(self, model=None, max_duration_s: float = 5.0):
+        if not max_duration_s > SAMPLE_INTERVAL_S:
+            raise ValueError(
+                f"max_duration_s must exceed one interval, got {max_duration_s}"
+            )
         self.model = model if model is not None else FixedLadderModel()
         self.max_duration_s = max_duration_s
-        self.mode = ExecutionMode.coerce(mode)
 
     def run(self, env: TestEnvironment) -> BTSResult:
-        from repro.core.loopback import run_loopback_session
+        from repro.core.sessionbank import run_session_bank
 
         ranked = env.servers_by_rtt()
         ping_s = ranked[0].rtt_s if ranked else 0.0
         server_capacity = (
             ranked[0].capacity_mbps if ranked else 10_000.0
         )
-        result = run_loopback_session(
+        bank = run_session_bank(
             self.model,
-            capacity_mbps=env.true_mean_capacity(0.0, self.max_duration_s),
-            tech=env.tech,
+            [env.true_mean_capacity(0.0, self.max_duration_s)],
             server_capacity_mbps=server_capacity,
             max_duration_s=self.max_duration_s,
-            mode=self.mode,
         )
         return BTSResult(
             service=self.name,
-            bandwidth_mbps=result.bandwidth_mbps,
-            duration_s=result.duration_s,
+            bandwidth_mbps=float(bank.bandwidth_mbps[0]),
+            duration_s=float(bank.duration_s[0]),
             ping_s=ping_s,
-            bytes_used=result.packets_delivered * DATA_PAYLOAD_BYTES,
-            samples=result.samples,
+            bytes_used=int(bank.packets_delivered[0]) * DATA_PAYLOAD_BYTES,
+            samples=bank.samples_for(0),
             servers_used=1,
             meta={
                 "transport": "udp-loopback",
-                "rate_commands": len(result.rate_commands),
+                "rate_commands": int(bank.n_rate_commands[0]),
             },
-            outcome=result.outcome,
+            outcome=bank.outcome(0),
         )
 
 
@@ -273,7 +273,7 @@ def create_bandwidth_test(name: str, **kwargs) -> BandwidthTest:
 
     ``kwargs`` are forwarded to the test's constructor — e.g.
     ``create_bandwidth_test("swiftest", registry=fitted_registry)`` or
-    ``create_bandwidth_test("swiftest-loopback", mode="oracle")``.
+    ``create_bandwidth_test("swiftest-loopback", max_duration_s=2.5)``.
     """
     try:
         factory = _BANDWIDTH_TESTS[name]

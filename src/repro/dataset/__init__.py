@@ -23,18 +23,12 @@ from repro.dataset.ooc import (
     write_npd,
 )
 from repro.dataset.records import Dataset
-from repro.dataset.sampling import (
-    DEMO_MIXTURES,
-    batch_gmm_bandwidths,
-    demo_campaign,
-)
 
 __all__ = [
     "ANDROID_VERSION_FACTORS",
     "CITY_TIERS",
     "CampaignConfig",
     "City",
-    "DEMO_MIXTURES",
     "Dataset",
     "DatasetWriter",
     "DevicePopulation",
@@ -42,8 +36,6 @@ __all__ = [
     "ISPS",
     "MappedDataset",
     "NpdIntegrityError",
-    "batch_gmm_bandwidths",
-    "demo_campaign",
     "generate_campaign",
     "make_cities",
     "open_mapped",

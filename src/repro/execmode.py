@@ -1,38 +1,36 @@
-"""The unified :class:`ExecutionMode` switch for oracle/fast paths.
+"""The unified :class:`ExecutionMode` switch of the campaign executor.
 
-Two engines keep a *byte-identical oracle* at run time.  One is the
-loopback Swiftest session
-(:func:`repro.core.loopback.run_loopback_session`,
-:class:`repro.core.variants.LoopbackSwiftest`): its per-packet
-interval loop is the slow, obviously-correct reference — the only path
-that exercises wire encoding and DATA-plane faults — and the
-vectorized and banked fast paths must reproduce its output bit for
-bit.  The other is the campaign executor
-(:func:`repro.harness.parallel.run_campaign`): ``oracle`` measures
-every row on its own through
-:func:`repro.harness.runtime.measure_row`, and the banked paths (the
-session bank for the loopback, the flood bank of
-:mod:`repro.baselines.floodbank` for BTS-APP, whose reference is the
-per-row :class:`~repro.baselines.driver.TcpFloodSession`) must give
-the same rows.  Benchmarks and tests verify both rather than assume
-them.  Engines whose
-reference only repeated their fast kernel take no mode: the dataset
-generator's per-row reference is ``chunk_size=1``, and the references
-of the capacity-trace OU filter and the analysis folds live in the
-test suite.
+One engine picks its path by mode at run time: the campaign executor
+(:func:`repro.harness.parallel.run_campaign`, whose one rule is
+:func:`repro.harness.runtime.executor_for`).  ``oracle`` measures
+every row on its own through :func:`repro.harness.runtime.measure_row`,
+with its own environment and retries, and the banked paths (the
+session bank of :mod:`repro.core.sessionbank` for the loopback, the
+flood bank of :mod:`repro.baselines.floodbank` for BTS-APP) must give
+the same rows.  Tests and CI verify that rather than assume it.
+
+An engine whose reference is independent of its kernel keeps that
+reference as a plain function, not a mode: the loopback's per-packet
+loop (:func:`repro.core.loopback.run_loopback_session`), the one path
+that encodes packets on the wire and takes DATA-plane faults, is the
+oracle every session-bank result is tested against, and the flood
+bank's is the per-row :class:`~repro.baselines.driver.TcpFloodSession`.
+Engines whose reference only repeated their fast kernel take no mode:
+the dataset generator's per-row reference is ``chunk_size=1``, and the
+references of the capacity-trace OU filter and the analysis folds
+live in the test suite.
 
 :class:`ExecutionMode` is one tri-state enum:
 
 ``oracle``
-    Force the scalar reference path.  Slow, used as the ground truth
-    by benchmarks and identity tests.
+    Force the per-row engine.  Slower; the reference banked campaigns
+    are checked against.
 ``vectorized``
-    Demand the fast path; raise when the inputs make it unsound (e.g.
-    DATA-plane faults in the loopback) rather than silently degrade.
+    Demand a bank; raise when none serves the service (e.g.
+    Speedtest) rather than silently degrade.
 ``auto``
-    The default: take the fast path whenever it is sound for the
-    inputs at hand, fall back to the oracle per element (per row, per
-    session) otherwise.  Because fast path and oracle are
+    The default: take a bank whenever one serves the service, the
+    per-row engine otherwise.  Because banked and per-row runs are
     byte-identical, ``auto`` is always safe to leave on.
 
 The module deliberately has no dependencies beyond the standard
@@ -48,8 +46,8 @@ __all__ = ["ExecutionMode"]
 
 
 class ExecutionMode(str, enum.Enum):
-    """How an engine with a scalar oracle and a vectorized fast path
-    should execute.
+    """How the campaign executor measures rows: one at a time, or
+    through a lockstep bank.
 
     The enum subclasses :class:`str` so a mode survives JSON round
     trips (config manifests, checkpoints) as its plain value and

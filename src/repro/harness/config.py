@@ -141,10 +141,9 @@ class CampaignConfig:
         :class:`~repro.execmode.ExecutionMode` of the campaign
         executor.  ``auto`` (default) runs the rows of a bankable test
         through a lockstep bank (BTS-APP through the flood bank of
-        :mod:`repro.baselines.floodbank`, the loopback on a fixed
-        ladder through the columnar
-        :class:`~repro.core.sessionbank.SessionBank`) and any other
-        test row by row; ``oracle`` forces the per-row reference
+        :mod:`repro.baselines.floodbank`, the loopback through the
+        columnar :class:`~repro.core.sessionbank.SessionBank`) and any
+        other test row by row; ``oracle`` forces the per-row reference
         engine; ``vectorized`` demands a bank and raises when the
         configured test cannot be banked.  By the
         oracle contract the mode never changes results — it is not

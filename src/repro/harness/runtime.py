@@ -56,6 +56,7 @@ import numpy as np
 from repro.baselines.btsapp import BtsApp
 from repro.baselines.common import BandwidthTestService
 from repro.core.attribution import attribute_rows, attribution_summary
+from repro.core.variants import LoopbackSwiftest
 from repro.dataset.records import Dataset, SCHEMA
 from repro.execmode import ExecutionMode
 from repro.ioutil import atomic_write_json
@@ -295,30 +296,30 @@ FLOOD_BANK_ROWS_PER_WORKER = 16
 #: Per-row engine rows per worker.  Campaign rows: BTS-APP ``oracle``
 #: 4: 0.62, 8: 0.67; Speedtest 4: 0.62.  Two rows never split over
 #: two shards (see :func:`repro.harness.parallel.shard_of`), so 4 is
-#: the smallest measurable size.  The per-row loopback pays only near
-#: 256 rows (4: 4.88, 16: 2.18, 64: 1.17, 256: 0.89) but shares this
-#: floor, as it forked at any size before workers were counted.
+#: the smallest measurable size.  The per-row loopback, a one-session
+#: bank a row, pays only from about 64 rows (4: 3.08, 16: 1.46,
+#: 64: 1.00, 256: 0.93) but shares this floor, as it forked at any
+#: size before workers were counted.
 PER_ROW_ROWS_PER_WORKER = 2
 
 
 def bankable_service(service) -> bool:
     """Whether ``service`` can execute rows through a lockstep bank.
 
-    Two services are bankable.  One is BTS-APP (an exact
-    :class:`~repro.baselines.btsapp.BtsApp`, whose subclasses may
-    change what a run does), through the flood bank
+    Two services are bankable, each only as its exact class (a
+    subclass may change what a run does).  One is BTS-APP
+    (:class:`~repro.baselines.btsapp.BtsApp`), through the flood bank
     (:meth:`~repro.baselines.btsapp.BtsApp.run_bank`).  The other is
-    the packet-loopback Swiftest variant on a finite fixed ladder (the
-    bank precomputes the rung table), through the columnar
-    :class:`~repro.core.sessionbank.SessionBank`, unless the service
-    itself is pinned to its per-packet ``oracle`` interval loop: that
-    loop is the reference the bank is checked against, and the one
-    path that encodes every packet on the wire, so a service built to
-    run it must not be swapped for the kernel it checks.  Everything
-    else takes the per-row engine: Speedtest, whose fixed 15 s Cubic
-    flood no bank serves yet; FAST, FastBTS and ``tcp-swiftest``,
-    which stop early; and fitted mixture models.  This is the
-    ``auto`` case of :func:`executor_for`.
+    the loopback Swiftest
+    (:class:`~repro.core.variants.LoopbackSwiftest`), whose every run
+    already takes the columnar
+    :class:`~repro.core.sessionbank.SessionBank`, one session wide;
+    banked, its rows share wide banks and skip their environments.
+    Everything else takes the per-row engine: Speedtest, whose fixed
+    15 s Cubic flood no bank serves yet; FAST, FastBTS and
+    ``tcp-swiftest``, which stop early; and the fluid
+    fitted-model client.  This is the ``auto`` case of
+    :func:`executor_for`.
     """
     return executor_for(service, ExecutionMode.AUTO).run_bank is not None
 
@@ -346,28 +347,22 @@ def executor_for(service, mode) -> Executor:
     The one rule every campaign path reads: the row loop picks its
     executor here, :func:`bankable_service` is its ``auto`` case, and
     the driver sizes its fan-out from the executor's
-    ``rows_per_worker``.  ``oracle`` always takes the per-row engine;
-    ``auto`` takes a bank when one serves the service;
-    ``vectorized`` demands one and raises ``ValueError`` otherwise.
+    ``rows_per_worker``.  ``oracle`` always takes the per-row engine
+    (one environment a row, with retries; a loopback row is then a
+    one-session bank fed the environment's capacity); ``auto`` takes a
+    bank when one serves the service; ``vectorized`` demands one and
+    raises ``ValueError`` otherwise.
     """
-    from repro.core.variants import FixedLadderModel, LoopbackSwiftest
-    from repro.units import SAMPLE_INTERVAL_S
-
     mode = ExecutionMode.coerce(mode)
     if mode is not ExecutionMode.ORACLE:
         if type(service) is BtsApp:
             return _FLOOD_BANK
-        if (
-            isinstance(service, LoopbackSwiftest)
-            and isinstance(service.model, FixedLadderModel)
-            and service.mode is not ExecutionMode.ORACLE
-            and service.max_duration_s > SAMPLE_INTERVAL_S
-        ):
+        if type(service) is LoopbackSwiftest:
             return _SESSION_BANK
     if mode is ExecutionMode.VECTORIZED:
         raise ValueError(
             f"mode='vectorized' requires a bankable test "
-            f"(bts-app, or swiftest-loopback on a fixed ladder), got "
+            f"(bts-app or swiftest-loopback), got "
             f"{service.name!r}; use mode='auto' or 'oracle'"
         )
     return _PER_ROW

@@ -89,9 +89,9 @@ INGEST_TMP_PREFIX = ".ingest-"
 DATASET_NPZ = "dataset.npz"
 DATASET_NPD = "dataset.npd"
 
-#: ``ingest_run(layout="auto")`` spills datasets at or above this many
-#: rows to the out-of-core layout; smaller ones keep the npz path
-#: (byte-identical files and therefore identical run ids to before).
+#: :meth:`RunStore.ingest_run` spills in-memory datasets at or above
+#: this many rows to the out-of-core ``dataset.npd`` layout (mapped
+#: datasets always go there); smaller ones keep ``dataset.npz``.
 OOC_ROW_THRESHOLD = 1_000_000
 
 _INDEX_SCHEMA = """
@@ -275,7 +275,6 @@ class RunStore:
         dataset: Optional[Dataset] = None,
         label: str = "",
         month: Optional[str] = None,
-        layout: str = "auto",
     ) -> str:
         """Commit one run (manifest + optional measured dataset).
 
@@ -284,12 +283,11 @@ class RunStore:
         ``month`` overrides the label derived from the manifest's
         ``created_unix_s`` (the longitudinal view groups by it).
 
-        ``layout`` picks the dataset payload format: ``"npz"`` buffers
-        the whole archive in memory (the original path — unchanged
-        bytes, unchanged run ids), ``"npd"`` streams an out-of-core
-        column directory at O(chunk) memory, and ``"auto"`` (default)
-        spills to npd for mapped datasets and anything at or above
-        :data:`OOC_ROW_THRESHOLD` rows.
+        The dataset decides its payload format.  A mapped dataset, or
+        one of at least :data:`OOC_ROW_THRESHOLD` rows, streams to an
+        out-of-core ``dataset.npd`` column directory at O(chunk) memory
+        (through :meth:`ingest_chunks`); anything else is buffered in
+        memory as ``dataset.npz``.
         """
         if not isinstance(manifest, dict):
             raise StoreError("manifest must be a dict")
@@ -297,17 +295,10 @@ class RunStore:
             raise StoreError(
                 f"month must be one of {MONTHS}, got {month!r}"
             )
-        if layout not in ("auto", "npz", "npd"):
-            raise StoreError(
-                f"layout must be 'auto', 'npz' or 'npd', got {layout!r}"
-            )
-        if layout == "auto":
-            spill = dataset is not None and (
-                isinstance(dataset, MappedDataset)
-                or len(dataset) >= OOC_ROW_THRESHOLD
-            )
-            layout = "npd" if spill else "npz"
-        if dataset is not None and layout == "npd":
+        if dataset is not None and (
+            isinstance(dataset, MappedDataset)
+            or len(dataset) >= OOC_ROW_THRESHOLD
+        ):
             return self.ingest_chunks(
                 manifest, dataset.iter_chunks(), label=label, month=month
             )

@@ -48,8 +48,9 @@ def test_loopback_duration_is_sub_5s():
 
 
 def test_loopback_validation():
-    with pytest.raises(ValueError):
-        run_loopback_session(make_model(), capacity_mbps=0.0)
+    for capacity in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="capacity"):
+            run_loopback_session(make_model(), capacity_mbps=capacity)
 
 
 def test_loopback_closes_session_on_convergence():
@@ -59,53 +60,3 @@ def test_loopback_closes_session_on_convergence():
     assert result.server.sessions[1].state is SessionState.CLOSED
     assert result.server.active_sessions() == 0
     assert result.server.sessions[1].bytes_sent > 0
-
-
-@pytest.mark.parametrize("capacity", [30.0, 60.0, 250.0, 450.0, 1000.0])
-def test_vectorized_interval_loop_is_bit_identical(capacity):
-    """The numpy fast path replaces per-packet object churn with a
-    counting identity; every observable — estimate, samples, ladder,
-    drop accounting, server byte counters — must match the legacy loop
-    exactly, not approximately."""
-    legacy = run_loopback_session(
-        make_model(), capacity_mbps=capacity, mode="oracle"
-    )
-    fast = run_loopback_session(
-        make_model(), capacity_mbps=capacity, mode="vectorized"
-    )
-    assert fast.bandwidth_mbps == legacy.bandwidth_mbps
-    assert fast.duration_s == legacy.duration_s
-    assert fast.samples == legacy.samples
-    assert fast.rate_commands == legacy.rate_commands
-    assert fast.packets_delivered == legacy.packets_delivered
-    assert fast.packets_dropped == legacy.packets_dropped
-    assert fast.outcome is legacy.outcome
-    assert (
-        fast.server.sessions[1].bytes_sent
-        == legacy.server.sessions[1].bytes_sent
-    )
-
-
-def test_vectorized_is_the_default_without_faults():
-    # mode=None coerces to 'auto', which selects the fast path when no
-    # data-plane faults are present; explicit 'vectorized' agrees.
-    auto = run_loopback_session(make_model(), capacity_mbps=120.0)
-    fast = run_loopback_session(
-        make_model(), capacity_mbps=120.0, mode="vectorized"
-    )
-    assert auto.samples == fast.samples
-
-
-def test_vectorized_refuses_data_plane_faults():
-    from repro.netsim.faults import FaultInjector, IIDLoss
-    import numpy as np
-
-    faults = FaultInjector(
-        np.random.default_rng(1), loss=IIDLoss(0.1, np.random.default_rng(1))
-    )
-    with pytest.raises(ValueError):
-        run_loopback_session(
-            make_model(), capacity_mbps=60.0,
-            data_faults=faults, mode="vectorized",
-        )
-

@@ -1,11 +1,11 @@
 """Batched session bank vs the per-session Swiftest oracle.
 
 The bank's contract is the dataset engine's oracle contract applied to
-the probing loop: for fault-free loopback sessions on a fixed ladder,
-``run_session_bank`` must reproduce ``run_loopback_session`` **byte for
-byte** — same float estimate, same integer packet counters, same
-commanded-rate list, same 50 ms sample stream, same outcome — for every
-session, at any bank size, in any row order.
+the probing loop: for fault-free loopback sessions on a ladder, fixed
+or fitted, ``run_session_bank`` must reproduce ``run_loopback_session``
+**byte for byte** — same float estimate, same integer packet counters,
+same commanded-rate list, same 50 ms sample stream, same outcome — for
+every session, at any bank size, in any row order.
 """
 
 import numpy as np
@@ -68,23 +68,18 @@ def model():
     return FixedLadderModel()
 
 
-@pytest.fixture(scope="module")
-def oracle_results(model):
-    return [
-        run_loopback_session(
-            model, c, server_capacity_mbps=10_000.0, mode="oracle"
-        )
-        for c in EDGE_CAPACITIES
-    ]
-
-
-def test_bank_matches_per_packet_oracle(model, oracle_results):
-    """One bank over every edge capacity == N per-packet sessions."""
-    bank = run_session_bank(model, EDGE_CAPACITIES)
-    for i, ref in enumerate(oracle_results):
-        assert bank_fields(bank, i) == oracle_fields(ref), (
-            f"capacity {EDGE_CAPACITIES[i]} diverged"
-        )
+def test_bank_matches_per_packet_oracle(model, registry):
+    """One bank over every edge capacity == N per-packet sessions, on
+    the fixed ladder and on a fitted mixture's modal ladder."""
+    for ladder in (model, registry.model("5G")):
+        bank = run_session_bank(ladder, EDGE_CAPACITIES)
+        for i, capacity in enumerate(EDGE_CAPACITIES):
+            ref = run_loopback_session(
+                ladder, capacity, server_capacity_mbps=10_000.0
+            )
+            assert bank_fields(bank, i) == oracle_fields(ref), (
+                f"{ladder!r}: capacity {capacity} diverged"
+            )
 
 
 def test_bank_matches_random_capacities(model):
@@ -94,7 +89,7 @@ def test_bank_matches_random_capacities(model):
     bank = run_session_bank(model, capacities)
     for i, c in enumerate(capacities):
         ref = run_loopback_session(
-            model, float(c), server_capacity_mbps=10_000.0, mode="oracle"
+            model, float(c), server_capacity_mbps=10_000.0
         )
         assert bank_fields(bank, i) == oracle_fields(ref)
 
@@ -110,7 +105,6 @@ def test_bank_respects_per_session_server_caps(model):
             model,
             capacities[i],
             server_capacity_mbps=server_caps[i],
-            mode="oracle",
         )
         assert bank_fields(bank, i) == oracle_fields(ref)
     # The 80 Mbps server is the bottleneck: nothing gets dropped.
@@ -143,9 +137,7 @@ def test_tick_times_is_the_accumulated_clock():
 
 def test_bank_samples_share_the_scalar_timestamps(model):
     bank = run_session_bank(model, [60.0])
-    ref = run_loopback_session(
-        model, 60.0, server_capacity_mbps=10_000.0, mode="oracle"
-    )
+    ref = run_loopback_session(model, 60.0, server_capacity_mbps=10_000.0)
     assert [t for t, _ in bank.samples_for(0)] == [
         t for t, _ in ref.samples
     ]
@@ -154,12 +146,30 @@ def test_bank_samples_share_the_scalar_timestamps(model):
 def test_bank_validation(model):
     with pytest.raises(ValueError, match="non-empty"):
         SessionBank(model, [])
-    with pytest.raises(ValueError, match="positive"):
-        SessionBank(model, [10.0, 0.0])
-    with pytest.raises(ValueError, match="server"):
-        SessionBank(model, [10.0], server_capacity_mbps=0.0)
+    for bad in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="positive"):
+            SessionBank(model, [10.0, bad])
+        with pytest.raises(ValueError, match="server"):
+            SessionBank(model, [10.0], server_capacity_mbps=bad)
     with pytest.raises(ValueError, match="interval"):
         SessionBank(model, [10.0], max_duration_s=SAMPLE_INTERVAL_S)
+
+    class Endless:
+        """A duck-typed ladder whose rungs never run out."""
+
+        def __init__(self, step):
+            self.step = step
+
+        def initial_rate_mbps(self):
+            return 25.0
+
+        def next_rate_mbps(self, current):
+            return self.step(current)
+
+    # Doubling overflows to inf; a flat or falling step never tops out.
+    for step in (lambda r: 2 * r, lambda r: r, lambda r: r / 2):
+        with pytest.raises(ValueError, match="ladder"):
+            SessionBank(Endless(step), [10.0])
 
 
 def test_bank_len_and_arrays(model):

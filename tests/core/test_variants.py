@@ -5,7 +5,9 @@ import pytest
 
 from repro.core.client import SwiftestClient, SwiftestConfig
 from repro.core.gmm import GaussianMixture1D
+from repro.core.loopback import run_loopback_session
 from repro.core.probing import ProbingController
+from repro.core.protocol import DATA_PAYLOAD_BYTES
 from repro.core.registry import BandwidthModelRegistry, TechnologyModel
 from repro.core.variants import (
     BandwidthTest,
@@ -18,6 +20,7 @@ from repro.core.variants import (
     register_bandwidth_test,
 )
 from repro.testbed.env import make_environment
+from repro.units import SAMPLE_INTERVAL_S
 
 
 def test_fixed_ladder_rungs():
@@ -33,6 +36,10 @@ def test_fixed_ladder_validation():
         FixedLadderModel(start_mbps=0.0)
     with pytest.raises(ValueError):
         FixedLadderModel(step_factor=1.0)
+    # inf never ends the ladder, and NaN is no top at all.
+    for top in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="finite"):
+            FixedLadderModel(top_mbps=top)
 
 
 def test_fixed_ladder_plugs_into_controller():
@@ -179,3 +186,36 @@ def test_loopback_swiftest_runs_as_a_service():
     assert result.outcome.usable
     assert result.ping_s > 0
     assert result.bytes_used > 0
+
+
+def test_loopback_swiftest_matches_the_per_packet_session(registry):
+    """A run is a one-session bank: every field it reports equals the
+    per-packet loop's on the same capacity, server and budget."""
+    for model in (FixedLadderModel(), registry.model("5G")):
+        for seed, capacity in ((6, 150.0), (7, 33.0), (8, 420.0)):
+            env = make_environment(
+                capacity, rng=np.random.default_rng(seed), tech="5G",
+                server_capacity_mbps=1000.0,
+            )
+            service = LoopbackSwiftest(model=model, max_duration_s=4.0)
+            result = service.run(env)
+            ref = run_loopback_session(
+                model,
+                env.true_mean_capacity(0.0, 4.0),
+                server_capacity_mbps=1000.0,
+                max_duration_s=4.0,
+            )
+            assert result.bandwidth_mbps == ref.bandwidth_mbps
+            assert result.duration_s == ref.duration_s
+            assert result.bytes_used == (
+                ref.packets_delivered * DATA_PAYLOAD_BYTES
+            )
+            assert result.samples == ref.samples
+            assert result.meta["rate_commands"] == len(ref.rate_commands)
+            assert result.outcome is ref.outcome
+
+
+def test_loopback_swiftest_validation():
+    for budget in (SAMPLE_INTERVAL_S, 0.0, -1.0):
+        with pytest.raises(ValueError, match="interval"):
+            LoopbackSwiftest(max_duration_s=budget)

@@ -78,17 +78,6 @@ def test_campaign_config_coerces_mode_strings():
         CampaignConfig(mode="warp")
 
 
-def test_loopback_swiftest_exposes_mode():
-    from repro.core.variants import LoopbackSwiftest
-
-    assert (
-        LoopbackSwiftest(mode="vectorized").mode
-        is ExecutionMode.VECTORIZED
-    )
-    assert LoopbackSwiftest(mode="oracle").mode is ExecutionMode.ORACLE
-    assert LoopbackSwiftest().mode is ExecutionMode.AUTO
-
-
 # -- banked vs per-row execution ---------------------------------------
 
 
@@ -118,6 +107,21 @@ def test_banked_campaign_is_byte_identical_to_oracle(contexts):
     datasets_identical(oracle.dataset, sharded.dataset)
 
 
+def test_fitted_model_loopback_campaign_is_byte_identical_to_oracle(
+    contexts, registry
+):
+    """A loopback campaign on a fitted model banks under ``auto``, and
+    its wide banks give the bytes of per-row runs."""
+    config = dict(
+        seed=13, max_tests=48, test="swiftest-loopback",
+        test_kwargs={"model": registry.model("5G")},
+    )
+    oracle = run_campaign(contexts, CampaignConfig(mode="oracle", **config))
+    banked = run_campaign(contexts, CampaignConfig(mode="auto", **config))
+    assert oracle.n_measured == banked.n_measured == 48
+    datasets_identical(oracle.dataset, banked.dataset)
+
+
 def test_vectorized_requires_bankable_test(contexts):
     with pytest.raises(ValueError, match="bankable"):
         run_campaign(
@@ -133,14 +137,19 @@ def test_vectorized_requires_bankable_test(contexts):
         )
 
 
-def test_bankable_service_predicate():
+def test_bankable_service_predicate(registry):
     from repro.baselines.btsapp import BtsApp
     from repro.core.registry import BandwidthModelRegistry
     from repro.core.variants import LoopbackSwiftest, create_bandwidth_test
 
     assert bankable_service(LoopbackSwiftest())
-    # A service pinned to its per-packet oracle loop must stay serial.
-    assert not bankable_service(LoopbackSwiftest(mode="oracle"))
+    # Every run is already a one-session bank, whatever its ladder.
+    assert bankable_service(LoopbackSwiftest(model=registry.model("5G")))
+
+    class TweakedLoopback(LoopbackSwiftest):
+        """A subclass may change what a run does: never banked."""
+
+    assert not bankable_service(TweakedLoopback())
     for cc_name in ("cubic", "reno", "bbr"):
         assert bankable_service(
             create_bandwidth_test("bts-app", cc_name=cc_name)

@@ -11,8 +11,9 @@ import json
 import numpy as np
 import pytest
 
+from repro.dataset.generator import CampaignConfig as GenerationConfig
+from repro.dataset.generator import generate_campaign
 from repro.dataset.records import SCHEMA
-from repro.dataset.sampling import demo_campaign
 from repro.harness.config import CampaignConfig
 from repro.harness.parallel import run_campaign
 from repro.obs.manifest import load_manifest, manifest_path_for
@@ -21,7 +22,8 @@ from repro.obs.metrics import MetricsRegistry, use_registry
 
 @pytest.fixture(scope="module")
 def contexts():
-    return demo_campaign(40, seed=404)
+    return generate_campaign(GenerationConfig(year=2021, n_tests=40,
+                                              seed=404))
 
 
 def sharded(**kwargs):

@@ -21,8 +21,9 @@ from repro.baselines.common import (
     TestOutcome,
 )
 from repro.core.variants import LoopbackSwiftest
+from repro.dataset.generator import CampaignConfig as GenerationConfig
+from repro.dataset.generator import generate_campaign
 from repro.dataset.records import SCHEMA, Dataset
-from repro.dataset.sampling import demo_campaign
 from repro.harness.config import CampaignConfig
 from repro.harness.parallel import (
     run_campaign,
@@ -38,9 +39,14 @@ from repro.harness.runtime import (
 from repro.obs.manifest import load_manifest
 
 
+def make_contexts(n_tests):
+    return generate_campaign(GenerationConfig(year=2021, n_tests=n_tests,
+                                              seed=404))
+
+
 @pytest.fixture(scope="module")
 def contexts():
-    return demo_campaign(24, seed=404)
+    return make_contexts(24)
 
 
 class Fails4G(BandwidthTestService):
@@ -334,7 +340,7 @@ def test_progress_streams_per_row_events(contexts):
 def test_workers_report_progress_per_bank():
     """A banked worker sends one event per finished bank carrying the
     bank's rows, not one per row."""
-    contexts = demo_campaign(2 * FLOOD_BANK_ROWS_PER_WORKER, seed=404)
+    contexts = make_contexts(2 * FLOOD_BANK_ROWS_PER_WORKER)
     report, events = progress_events(
         contexts, CampaignConfig(seed=11, test="bts-app", n_shards=2)
     )
@@ -382,7 +388,7 @@ def test_small_banked_campaign_forks_nothing(monkeypatch, tmp_path):
     worker: ``n_shards=8`` forks none and gives the same bytes."""
     import repro.harness.parallel as parallel
 
-    contexts = demo_campaign(48, seed=404)
+    contexts = make_contexts(48)
     serial = run_campaign(contexts, config_with())
 
     def no_workers():
@@ -414,7 +420,7 @@ def test_fork_count_is_the_lesser_of_shards_and_floor(
     """Above the floor a run forks ``min(n_shards, rows //
     rows_per_worker)`` workers, and its bytes match the in-process
     run's."""
-    contexts = demo_campaign(n_rows, seed=404)
+    contexts = make_contexts(n_rows)
     config = dict(seed=11, test=test, mode=mode)
     serial = run_campaign(contexts, CampaignConfig(**config))
     manifest_path = tmp_path / "run.manifest.json"

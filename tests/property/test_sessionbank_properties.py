@@ -4,7 +4,7 @@ The bank promises three invariances, each checked here under random
 capacity draws:
 
 * **oracle identity** — every session's full result equals the
-  per-packet ``run_loopback_session(mode='oracle')`` result;
+  per-packet ``run_loopback_session`` result;
 * **bank-size invariance** — partitioning the same sessions into
   banks of any width reproduces the same bytes (widths 1, 7, 64 and
   4096 cover degenerate, odd, CI-sized and production-sized banks);
@@ -56,7 +56,6 @@ def test_bank_equals_per_packet_oracle(seed, n):
             MODEL,
             float(capacities[i]),
             server_capacity_mbps=SERVER_MBPS,
-            mode="oracle",
         )
         assert bank_fields(bank, i) == (
             ref.bandwidth_mbps,

@@ -18,6 +18,7 @@ from repro.dataset.generator import (
     iter_campaign_chunks,
 )
 from repro.dataset.ooc import MappedDataset
+from repro.dataset.records import Dataset
 from repro.store import (
     CorruptPayloadError,
     RunStore,
@@ -88,16 +89,29 @@ def test_load_dataset_maps_and_matches(store, config, dataset):
         dataset.column("tech").tolist()
 
 
-def test_ingest_run_layout_dispatch(store, dataset):
+def test_ingest_run_layout_dispatch(store, dataset, tmp_path, monkeypatch):
+    """The dataset decides the payload: a small in-memory dataset goes
+    to npz, a mapped one to npd through the same ``ingest_chunks`` call
+    as its chunks, and so does an in-memory one at the row threshold."""
+    import repro.store.catalog as catalog
+
     npz_id = store.ingest_run(make_manifest(seed=2), dataset, month="aug")
-    npd_id = store.ingest_run(
-        make_manifest(seed=3), dataset, month="aug", layout="npd"
-    )
     assert "dataset.npz" in store.get_run(npz_id).files
+
+    dataset.to_npd(tmp_path / "mapped.npd")
+    mapped = Dataset.open_mapped(tmp_path / "mapped.npd")
+    npd_id = store.ingest_run(make_manifest(seed=3), mapped, month="aug")
     assert any(n.startswith("dataset.npd/")
                for n in store.get_run(npd_id).files)
-    with pytest.raises(StoreError):
-        store.ingest_run(make_manifest(seed=4), dataset, layout="parquet")
+    assert store.ingest_chunks(
+        make_manifest(seed=3), dataset.iter_chunks(), month="aug"
+    ) == npd_id
+
+    monkeypatch.setattr(catalog, "OOC_ROW_THRESHOLD", len(dataset))
+    spilled_id = store.ingest_run(make_manifest(seed=2), dataset, month="aug")
+    assert spilled_id != npz_id
+    assert any(n.startswith("dataset.npd/")
+               for n in store.get_run(spilled_id).files)
 
 
 def test_dataset_schema_reads_headers_only(store, config, dataset):
@@ -165,10 +179,10 @@ def test_compare_months_stream_equals_oracle_mixed_layouts(store):
                                               seed=31))
     ds_nov = generate_campaign(CampaignConfig(year=2021, n_tests=3000,
                                               seed=32))
-    store.ingest_run(make_manifest(seed=31, n_rows=3000), ds_aug,
-                     month="aug", layout="npd")
+    store.ingest_chunks(make_manifest(seed=31, n_rows=3000),
+                        ds_aug.iter_chunks(), month="aug")
     store.ingest_run(make_manifest(seed=32, n_rows=3000), ds_nov,
-                     month="nov", layout="npz")
+                     month="nov")
     streamed = compare_months(store, ("aug", "nov"), tech="4G",
                               min_group_tests=10, mode="stream")
     oracle = compare_months(store, ("aug", "nov"), tech="4G",
