@@ -11,9 +11,12 @@ each row's session would have measured, bit for bit:
 * **Lanes.**  Lane ``CONNECTIONS_PER_SERVER * k + i`` is connection
   ``i`` of the ``k``-th server the row recruits: the order of the
   session's connections and of the access link's flows.  A lane not
-  yet recruited holds ``+0.0`` everywhere, which leaves every sum
+  yet recruited holds ``+0.0`` demand and rate, which leaves every sum
   unchanged.
-* **One clock.**  Every row steps and samples on the same ``now``.
+* **One clock.**  Every row steps and samples on the same ``now``,
+  accumulated once per bank by ``now += _STEP_S`` as the session
+  accumulates it.  Every row's access capacity at every tick is read
+  once per bank into a ``(ticks, rows)`` table.
 * **Allocation** is the network's progressive filling on the star a
   flood builds (the access link plus each recruited server's uplink),
   for all rows at once: the same increments and the same epsilon
@@ -27,6 +30,11 @@ each row's session would have measured, bit for bit:
   RNG and calls its own congestion control's ``on_round``, so every
   row's draws happen in the session's order and Reno, Cubic and BBR
   keep one implementation each.
+* **Reused buffers.**  At a handful of rows, a tick's cost is the
+  number of numpy calls it makes, not their arithmetic.  So a tick
+  allocates nothing: every array operation writes into buffers the
+  bank allocates once, and a round end gathers its lanes' inputs with
+  one ``take``.
 
 A bank models no fault plan (server outages are the session's job) and
 raises ``ValueError`` for an environment that carries one.  It also
@@ -37,7 +45,7 @@ would interleave their draws, which sequential sessions take in blocks.
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -61,6 +69,30 @@ from repro.testbed.env import TestEnvironment
 from repro.units import SAMPLE_INTERVAL_S
 
 _LANES = MAX_SERVERS * CONNECTIONS_PER_SERVER
+
+#: The links of a row's star: link 0 is the access link, which every
+#: lane crosses; link ``1 + k`` is the uplink of the row's ``k``-th
+#: server, which its lanes ``CONNECTIONS_PER_SERVER * k + i`` cross.
+_LINKS = 1 + MAX_SERVERS
+
+#: ``1.0`` where a lane (row) crosses a link (column).  A 0/1 mask's
+#: product with it counts each link's lanes: sums of a few ones are
+#: exact in whatever order the product adds them.
+_LANE_LINKS = np.hstack([
+    np.ones((_LANES, 1)),
+    np.repeat(np.eye(MAX_SERVERS), CONNECTIONS_PER_SERVER, axis=0),
+])
+
+# A lane's float state: one (rows, lanes) plane each of one stack, so
+# that a round end gathers the planes from _ROUND_BYTES on with one take.
+_SINCE, _ROUND_BYTES, _BPS, _QUEUE, _BACKLOG, _NECK, _RTT = range(7)
+
+# Dividing by 8 is a power-of-two scaling, which commutes with rounding,
+# so `x * 1000000 / 8` (mbps_to_bytes_per_s; `1e6 / 8` of a window or a
+# BDP in bytes) is `x * 125000.0` and `x * MSS_BYTES * 8` is
+# `x * (MSS_BYTES * 8)`, bit for bit.
+_BYTES_PER_S_PER_MBPS = 125000.0
+_BITS_PER_PKT = MSS_BYTES * 8
 
 
 class FloodRun(NamedTuple):
@@ -89,84 +121,136 @@ def _check_environment(env: TestEnvironment) -> None:
         )
 
 
-class _AccessCapacity:
-    """Every row's access capacity at one instant.
-
-    A :class:`FluctuatingTrace` row reads its OU grid, and rows whose
-    grids wrap on the same duration share one grid position; any other
-    trace is asked directly.
-    """
-
-    def __init__(self, envs: Sequence[TestEnvironment]):
-        self.n = len(envs)
-        by_duration = {}
-        self.others = []
-        for row, env in enumerate(envs):
-            trace = env.access.trace
-            if type(trace) is FluctuatingTrace:
-                by_duration.setdefault(trace.duration_s, []).append(row)
-            else:
-                self.others.append((row, trace))
-        self.groups = [
-            (duration, np.array(rows),
-             np.array([envs[row].access.trace.grid for row in rows]))
-            for duration, rows in by_duration.items()
-        ]
-
-    def at(self, now: float) -> np.ndarray:
-        out = np.empty(self.n)
-        for duration, rows, grids in self.groups:
-            lo, hi, frac = grid_positions(now, duration, grids.shape[1])
-            out[rows] = interpolate(grids, lo, hi, frac)
-        for row, trace in self.others:
-            out[row] = trace.capacity_at(now)
-        return out
+def _clock(duration_s: float) -> List[float]:
+    """The session's clock: ``0.0``, then ``now += _STEP_S`` until
+    ``now`` reaches ``duration_s``.  Tick ``k`` runs from ``clock[k]``
+    to ``clock[k + 1]``; the last entry is the first not below
+    ``duration_s``."""
+    clock = [0.0]
+    while clock[-1] < duration_s:
+        clock.append(clock[-1] + _STEP_S)
+    return clock
 
 
-def _allocate(
-    demand: np.ndarray, access: np.ndarray, uplink: np.ndarray
+def _access_capacities(
+    envs: Sequence[TestEnvironment], times: Sequence[float]
 ) -> np.ndarray:
-    """:meth:`Network.allocate` on every row's star at once: ``demand``
-    per lane, ``access`` capacity per row, ``uplink`` capacity per row
-    and server.  Returns the rate of every lane."""
-    n = demand.shape[0]
-    star = (n, MAX_SERVERS, CONNECTIONS_PER_SERVER)
-    rate = np.zeros_like(demand)
-    unfrozen = demand > 0
-    filling = unfrozen.any(axis=1)
-    # Every load is 0.0 before the first pass.
-    access_room, uplink_room = access, uplink
-    while filling.any():
-        on_access = unfrozen.sum(axis=1)
-        on_uplink = unfrozen.reshape(star).sum(axis=2)
-        step = np.divide(
-            access_room, on_access, out=np.full(n, np.inf),
-            where=on_access > 0,
-        )
-        share = np.divide(
-            uplink_room, on_uplink, out=np.full(uplink.shape, np.inf),
-            where=on_uplink > 0,
-        )
-        headroom = np.subtract(
-            demand, rate, out=np.full(demand.shape, np.inf), where=unfrozen
-        )
-        np.minimum(step, share.min(axis=1), out=step)
-        np.minimum(step, headroom.min(axis=1), out=step)
-        np.maximum(step, 0.0, out=step)
-        grow = unfrozen & filling[:, None]
-        np.add(rate, step[:, None], out=rate, where=grow)
+    """Every row's access capacity at every time, ``(times, rows)``:
+    ``envs[row].access.trace.capacity_at(times[k])`` bit for bit.
 
-        access_room = access - np.cumsum(rate, axis=1)[:, -1]
-        uplink_room = uplink - np.cumsum(rate.reshape(star), axis=2)[..., -1]
-        frozen = np.repeat(
-            uplink_room <= _EPSILON, CONNECTIONS_PER_SERVER, axis=1
-        )
-        frozen |= (access_room <= _EPSILON)[:, None]
-        frozen |= demand - rate <= _EPSILON
-        frozen &= grow
-        unfrozen &= ~frozen
-        filling &= frozen.any(axis=1) & unfrozen.any(axis=1)
-    return rate
+    :class:`FluctuatingTrace` rows whose grids wrap on the same duration
+    read them in one :func:`grid_positions` and :func:`interpolate`
+    pass, whose elementwise ufuncs round as ``capacity_at`` does; any
+    other trace is asked at every time.
+    """
+    table = np.empty((len(times), len(envs)))
+    by_duration: Dict[float, List[int]] = {}
+    for row, env in enumerate(envs):
+        trace = env.access.trace
+        if type(trace) is FluctuatingTrace:
+            by_duration.setdefault(trace.duration_s, []).append(row)
+        else:
+            table[:, row] = [trace.capacity_at(now) for now in times]
+    for duration, rows in by_duration.items():
+        grids = np.array([envs[row].access.trace.grid for row in rows])
+        lo, hi, frac = grid_positions(times, duration, grids.shape[1])
+        table[:, rows] = interpolate(grids, lo, hi, frac).T
+    return table
+
+
+def _by_server(lanes: np.ndarray) -> np.ndarray:
+    """A ``(rows, lanes)`` array viewed as ``(rows, servers,
+    connections)``."""
+    return lanes.reshape(len(lanes), MAX_SERVERS, CONNECTIONS_PER_SERVER)
+
+
+class _Filling:
+    """:meth:`Network.allocate` on every row's star at once, in buffers
+    that one bank reuses at every tick."""
+
+    def __init__(self, n: int):
+        shape = (n, _LANES)
+        self.rate = np.empty(shape)
+        self.scratch = np.empty(shape)
+        self.tightest = np.empty(shape)
+        self.unfrozen = np.empty(shape, dtype=bool)
+        self.kept = np.empty(shape, dtype=bool)
+        # Each link's unfrozen lanes, counted from a 0/1 copy of the
+        # mask, and whether it has any.
+        self.ones = np.empty(shape)
+        self.sharing = np.empty((n, _LINKS))
+        self.shared = np.empty((n, _LINKS), dtype=bool)
+        self.room = np.empty((n, _LINKS))
+        # A pass's bounds on its increment: each link's room split
+        # evenly over its unfrozen lanes, then each unfrozen lane's
+        # headroom below its demand; +inf where nothing binds.
+        self.bounds = np.empty((n, _LINKS + _LANES))
+        self.step = np.empty(n)
+        self.froze = np.empty(n, dtype=bool)
+
+    def allocate(
+        self, demand: np.ndarray, capacity: np.ndarray
+    ) -> np.ndarray:
+        """The rate of every lane, for ``demand`` per lane and
+        ``capacity`` per row and link.  The result is a buffer that the
+        next call overwrites.
+
+        A row fills while it has unfrozen lanes: the pass that freezes
+        none of them ends its filling by freezing them all, and a row
+        with no unfrozen lane grows no further.  Filling ends when no
+        lane is left unfrozen.
+        """
+        rate, scratch, tightest = self.rate, self.scratch, self.tightest
+        unfrozen, kept, ones = self.unfrozen, self.kept, self.ones
+        sharing, shared, bounds = self.sharing, self.shared, self.bounds
+        step, froze = self.step, self.froze
+        split, headroom = bounds[:, :_LINKS], bounds[:, _LINKS:]
+
+        rate.fill(0.0)
+        np.greater(demand, 0, out=unfrozen)
+        # Every load is 0.0 before the first pass.
+        room = capacity
+        while np.count_nonzero(unfrozen):
+            np.copyto(ones, unfrozen)
+            ones.dot(_LANE_LINKS, out=sharing)
+            np.greater(sharing, 0, out=shared)
+            bounds.fill(np.inf)
+            np.divide(room, sharing, out=split, where=shared)
+            np.subtract(demand, rate, out=headroom, where=unfrozen)
+            np.minimum.reduce(bounds, axis=1, out=step)
+            np.maximum(step, 0.0, out=step)
+            np.add(rate, step[:, None], out=rate, where=unfrozen)
+
+            # Each link's room: its capacity less its lanes' rates,
+            # added left to right.
+            room = self.room
+            np.add.accumulate(rate, axis=1, out=scratch)
+            np.subtract(capacity[:, 0], scratch[:, -1], out=room[:, 0])
+            np.add.accumulate(
+                _by_server(rate), axis=2, out=_by_server(scratch)
+            )
+            np.subtract(
+                capacity[:, 1:], _by_server(scratch)[..., -1],
+                out=room[:, 1:],
+            )
+            # A lane freezes when its demand is met or either of its
+            # links is full, to within epsilon: when the least of its
+            # headroom and its links' room is.
+            np.minimum(
+                room[:, :1, None], room[:, 1:, None],
+                out=_by_server(tightest),
+            )
+            np.subtract(demand, rate, out=scratch)
+            np.minimum(tightest, scratch, out=tightest)
+            np.greater(tightest, _EPSILON, out=kept)
+            np.logical_and(kept, unfrozen, out=kept)
+            if not np.count_nonzero(kept):
+                break
+            # The lanes this pass froze, then whether each row froze any.
+            np.not_equal(unfrozen, kept, out=unfrozen)
+            np.logical_or.reduce(unfrozen, axis=1, out=froze)
+            np.logical_and(kept, froze[:, None], out=unfrozen)
+        return rate
 
 
 def run_flood_bank(
@@ -192,22 +276,31 @@ def run_flood_bank(
         )
     n = len(envs)
     shape = (n, _LANES)
-    # A lane's RTT is 1.0 until recruited: its demand stays 0.0.
-    rtt = np.ones(shape)
+    state = np.zeros((_RTT + 1,) + shape)
+    since, round_bytes, bps, queue, backlog, neck, rtt = state
+    # Until recruited, a lane's RTT is 1.0, so its demand stays 0.0,
+    # and its round clock reads -inf, so it never ends a round.
+    rtt.fill(1.0)
+    since.fill(-np.inf)
+    gathered = state[_ROUND_BYTES:].reshape(_RTT + 1 - _ROUND_BYTES, -1)
     win = np.zeros(shape)
-    live = np.zeros(shape, dtype=bool)
-    uplink = np.full((n, MAX_SERVERS), np.inf)
-    lane_uplink = np.full(shape, np.inf)
     received = np.zeros(shape)
-    round_bytes = np.zeros(shape)
-    since = np.zeros(shape)
+    demand = np.empty(shape)
+    inflight = np.empty(shape)
+    delivered = np.empty(shape)
+    due = np.empty(shape)
+    moving = np.empty(shape, dtype=bool)
+    ends = np.empty(shape, dtype=bool)
+    # Each row's link capacities: the access link's, set from the table
+    # at every tick, then each server's uplink, +inf until recruited.
+    capacity = np.full((n, _LINKS), np.inf)
+    filling = _Filling(n)
     # The congestion control of a row's lane, at row * _LANES + lane.
     ccs = [None] * (n * _LANES)
     ranked = [env.servers_by_rtt()[:MAX_SERVERS] for env in envs]
     servers_used = [0] * n
     rngs = [env.rng for env in envs]
     loss_rates = [env.loss_rate for env in envs]
-    access = _AccessCapacity(envs)
 
     def recruit(row: int, now: float) -> None:
         k = servers_used[row]
@@ -221,67 +314,68 @@ def run_flood_bank(
             ccs[row * _LANES + lane] = cc
             win[row, lane] = cc.demand_pkts_per_rtt()
         rtt[row, lanes] = server.rtt_s
-        live[row, lanes] = True
         since[row, lanes] = 0.0
-        uplink[row, k] = lane_uplink[row, lanes] = (
-            server.uplink.capacity_at(now)
-        )
+        capacity[row, 1 + k] = server.uplink.capacity_at(now)
         servers_used[row] = k + 1
 
     for row in range(n):
         recruit(row, 0.0)
+    clock = _clock(duration_s)
+    access = _access_capacities(envs, clock[:-1])
     thresholds = np.array(escalation_thresholds())
     crossed = np.zeros(n, dtype=np.int64)
     slice_start = np.zeros(n)
     times: List[float] = []
     columns: List[np.ndarray] = []
-    now = 0.0
     next_sample_at = SAMPLE_INTERVAL_S
-    while now < duration_s:
-        capacity = access.at(now)
-        demand = win * MSS_BYTES * 8 / rtt / 1e6
-        rate = _allocate(demand, capacity, uplink)
+    for tick, now in enumerate(clock[1:]):
+        capacity[:, 0] = access[tick]
+        # TcpConnection.demand_mbps, every lane at once.
+        np.multiply(win, _BITS_PER_PKT, out=demand)
+        np.divide(demand, rtt, out=demand)
+        np.divide(demand, 1e6, out=demand)
+        rate = filling.allocate(demand, capacity)
 
         # TcpConnection.post_allocate, every lane at once.
-        bps = rate * 1000000 / 8
-        delivered = bps * _STEP_S
-        received += delivered
-        round_bytes += delivered
-        backlog = np.maximum(0.0, demand * 1e6 / 8 * rtt - bps * rtt)
-        queue = np.divide(
-            backlog, bps, out=np.zeros(shape), where=rate > 0
-        )
-        since += _STEP_S
-        ends = since >= rtt + queue
-        ends &= live
+        np.multiply(rate, _BYTES_PER_S_PER_MBPS, out=bps)
+        np.multiply(bps, _STEP_S, out=delivered)
+        np.add(received, delivered, out=received)
+        np.add(round_bytes, delivered, out=round_bytes)
+        # The backlog: bytes in flight beyond the pipe.
+        np.multiply(demand, _BYTES_PER_S_PER_MBPS, out=inflight)
+        np.multiply(inflight, rtt, out=inflight)
+        np.multiply(bps, rtt, out=backlog)
+        np.subtract(inflight, backlog, out=backlog)
+        np.maximum(0.0, backlog, out=backlog)
+        np.greater(rate, 0, out=moving)
+        queue.fill(0.0)
+        np.divide(backlog, bps, out=queue, where=moving)
+        np.add(since, _STEP_S, out=since)
+        np.add(rtt, queue, out=due)
+        np.greater_equal(since, due, out=ends)
         # Flat C-order positions: (row, lane) order, row-major.
         spots = np.flatnonzero(ends)
         if spots.size:
-            lane_rtt = rtt.take(spots)
-            bdp = (
-                np.minimum(capacity.take(spots // _LANES),
-                           lane_uplink.take(spots))
-                * 1e6 / 8 * lane_rtt
-            )
-            # A flood's connections keep the default buffer factor, 1.0.
-            congested = backlog.take(spots) > np.maximum(
-                bdp, _MIN_BUFFER_BYTES
+            # Each lane's path bottleneck, for its BDP.
+            np.minimum(
+                capacity[:, :1, None], capacity[:, 1:, None],
+                out=_by_server(neck),
             )
             wins = []
-            for spot, pkts, pps, loss, delay, min_rtt in zip(
-                spots.tolist(),
-                (round_bytes.take(spots) / MSS_BYTES).tolist(),
-                (bps.take(spots) / MSS_BYTES).tolist(),
-                congested.tolist(),
-                queue.take(spots).tolist(),
-                lane_rtt.tolist(),
+            for spot, bytes_, bps_, delay, pending, neck_, min_rtt in zip(
+                spots.tolist(), *gathered.take(spots, axis=1).tolist()
             ):
                 row = spot // _LANES
                 cc = ccs[spot]
                 cc.on_round(RoundOutcome(
-                    delivered_pkts=pkts,
-                    delivery_rate_pps=pps,
-                    congestion_loss=loss,
+                    delivered_pkts=bytes_ / MSS_BYTES,
+                    delivery_rate_pps=bps_ / MSS_BYTES,
+                    # A flood's connections keep the default buffer
+                    # factor, 1.0.
+                    congestion_loss=pending > max(
+                        neck_ * _BYTES_PER_S_PER_MBPS * min_rtt,
+                        _MIN_BUFFER_BYTES,
+                    ),
                     spurious_loss=rngs[row].random() < loss_rates[row],
                     queue_delay_s=delay,
                     min_rtt_s=min_rtt,
@@ -291,7 +385,6 @@ def run_flood_bank(
             since.put(spots, 0.0)
             round_bytes.put(spots, 0.0)
 
-        now += _STEP_S
         if now + 1e-9 >= next_sample_at:
             total = np.cumsum(received, axis=1)[:, -1]
             sample = (total - slice_start) * 8 / 1e6 / SAMPLE_INTERVAL_S

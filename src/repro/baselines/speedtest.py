@@ -2,12 +2,14 @@
 
 Differences from BTS-APP: a 15-second probing window (Speedtest serves
 global users with longer RTTs) and a static percentile trim — drop the
-top 10% and bottom 25% of samples, then average.
+top 10% and bottom 25% of samples, then average.  Like BTS-APP's, its
+fixed flood has no stop check, so a campaign's rows run through the
+flood bank (:meth:`SpeedtestLike.run_bank`).
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -17,6 +19,7 @@ from repro.baselines.driver import (
     TcpFloodSession,
     ping_phase_duration,
 )
+from repro.baselines.floodbank import FloodRun, run_flood_bank
 from repro.tcp.slowstart import check_cc_name
 from repro.testbed.env import TestEnvironment
 
@@ -61,14 +64,34 @@ class SpeedtestLike(BandwidthTestService):
             samples = session.run(PROBE_DURATION_S)
         except NoReachableServerError as exc:
             return failed_result(self.name, ping_s, exc)
-        bandwidth = percentile_trimmed_mean([s for _, s in samples])
+        return self._result(
+            ping_s, FloodRun(samples, session.bytes_used, session.servers_used)
+        )
+
+    def run_bank(self, envs: Sequence[TestEnvironment]) -> List[BTSResult]:
+        """``[self.run(env) for env in envs]``, with the floods stepped
+        in lockstep by :func:`~repro.baselines.floodbank.run_flood_bank`.
+
+        Raises ``ValueError`` for an environment the bank cannot
+        express, such as one with a fault plan, and for environments
+        that share an RNG.
+        """
+        floods = run_flood_bank(envs, self.cc_name, PROBE_DURATION_S)
+        return [
+            self._result(ping_phase_duration(env, N_PINGED), flood)
+            for env, flood in zip(envs, floods)
+        ]
+
+    def _result(self, ping_s: float, flood: FloodRun) -> BTSResult:
         return BTSResult(
             service=self.name,
-            bandwidth_mbps=bandwidth,
+            bandwidth_mbps=percentile_trimmed_mean(
+                [s for _, s in flood.samples]
+            ),
             duration_s=PROBE_DURATION_S,
             ping_s=ping_s,
-            bytes_used=session.bytes_used,
-            samples=samples,
-            servers_used=session.servers_used,
+            bytes_used=flood.bytes_used,
+            samples=flood.samples,
+            servers_used=flood.servers_used,
             meta={"estimator": "percentile-trim"},
         )

@@ -43,10 +43,10 @@ How bit-equality is achieved (the same playbook as PR 4):
 
 A bank cannot express data-plane or control-plane faults (those
 sessions run the per-packet loop) or services other than the
-loopback; one level up,
-:func:`repro.harness.runtime.bankable_service` sends campaigns of
-such services row by row instead (BTS-APP through its own flood
-bank, :mod:`repro.baselines.floodbank`).  A campaign row never carries a
+loopback; one level up, :func:`repro.harness.runtime.executor_for`
+sends campaigns of such services row by row instead (BTS-APP and
+Speedtest through their own flood bank,
+:mod:`repro.baselines.floodbank`).  A campaign row never carries a
 fault plan, so every row of a bankable campaign is banked (see
 :func:`repro.harness.runtime.iter_banked_rows`).
 """

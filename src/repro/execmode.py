@@ -6,7 +6,8 @@ One engine picks its path by mode at run time: the campaign executor
 every row on its own through :func:`repro.harness.runtime.measure_row`,
 with its own environment and retries, and the banked paths (the
 session bank of :mod:`repro.core.sessionbank` for the loopback, the
-flood bank of :mod:`repro.baselines.floodbank` for BTS-APP) must give
+flood bank of :mod:`repro.baselines.floodbank` for BTS-APP and
+Speedtest) must give
 the same rows.  Tests and CI verify that rather than assume it.
 
 An engine whose reference is independent of its kernel keeps that
@@ -26,8 +27,8 @@ live in the test suite.
     Force the per-row engine.  Slower; the reference banked campaigns
     are checked against.
 ``vectorized``
-    Demand a bank; raise when none serves the service (e.g.
-    Speedtest) rather than silently degrade.
+    Demand a bank; raise when none serves the service (e.g. FAST)
+    rather than silently degrade.
 ``auto``
     The default: take a bank whenever one serves the service, the
     per-row engine otherwise.  Because banked and per-row runs are

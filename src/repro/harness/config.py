@@ -140,8 +140,9 @@ class CampaignConfig:
     mode:
         :class:`~repro.execmode.ExecutionMode` of the campaign
         executor.  ``auto`` (default) runs the rows of a bankable test
-        through a lockstep bank (BTS-APP through the flood bank of
-        :mod:`repro.baselines.floodbank`, the loopback through the
+        through a lockstep bank (BTS-APP and Speedtest through the
+        flood bank of :mod:`repro.baselines.floodbank`, the loopback
+        through the
         columnar :class:`~repro.core.sessionbank.SessionBank`) and any
         other test row by row; ``oracle`` forces the per-row reference
         engine; ``vectorized`` demands a bank and raises when the

@@ -22,8 +22,10 @@ under supervision:
   one float per row that
   :func:`~repro.harness.collection.row_capacities` computes for a
   block of rows at once, so no banked loopback row builds an
-  environment.  BTS-APP rows build their environments and run through
-  the flood bank (:meth:`~repro.baselines.btsapp.BtsApp.run_bank`).
+  environment.  BTS-APP and Speedtest rows build their environments
+  and run through the flood bank
+  (:meth:`~repro.baselines.btsapp.BtsApp.run_bank`,
+  :meth:`~repro.baselines.speedtest.SpeedtestLike.run_bank`).
 * **Quarantine.**  Rows that exhaust their retries are never silently
   dropped: they are excluded from the measured dataset and recorded as
   :class:`QuarantinedRow` entries carrying the final outcome (or
@@ -55,6 +57,7 @@ import numpy as np
 
 from repro.baselines.btsapp import BtsApp
 from repro.baselines.common import BandwidthTestService
+from repro.baselines.speedtest import SpeedtestLike
 from repro.core.attribution import attribute_rows, attribution_summary
 from repro.core.variants import LoopbackSwiftest
 from repro.dataset.records import Dataset, SCHEMA
@@ -82,7 +85,7 @@ __all__ = [
     "QuarantinedRow",
     "RetryPolicy",
     "SESSION_BANK_ROWS_PER_WORKER",
-    "bankable_service",
+    "SPEEDTEST_BANK_ROWS_PER_WORKER",
     "build_report",
     "campaign_fingerprint",
     "executor_for",
@@ -271,8 +274,12 @@ BANK_SIZE = 4096
 #: :data:`BANK_SIZE`: a banked BTS-APP row keeps its environment, its
 #: 200 samples and 20 congestion-control objects alive for the whole
 #: bank, about 45 KiB of peak RSS a row, and wider banks stop paying
-#: off here (on a 2-vCPU VM, a 600-row campaign ran fastest at 256 of
-#: bank sizes from 5 to 600).  The value never changes results.
+#: off here.  On a 2-vCPU VM, a 600-row campaign ran fastest at 256 of
+#: bank sizes from 5 to 600 when each tick made a numpy call per array
+#: temporary.  With reused buffers (median of 3 in-process runs, 600
+#: rows of an 8,000-row campaign): 5: 13.06 s, 16: 8.08, 32: 8.23,
+#: 64: 7.96, 128: 7.56, 256: 7.96, 600: 7.60.  Past 16 rows every size
+#: is within noise, so the value stays.  It never changes results.
 FLOOD_BANK_SIZE = 256
 
 # Rows a forked shard worker needs before it pays for itself, one
@@ -290,38 +297,26 @@ SESSION_BANK_ROWS_PER_WORKER = 2048
 
 #: Flood-bank (banked BTS-APP) rows per worker.  Campaign rows:
 #: 8: 1.06, 12: 0.94, 16: 0.99, 24: 0.87, 32: 0.88, 64: 0.68,
-#: 128: 0.65.  Two workers break even near 16 rows.
+#: 128: 0.65; with the bank's reused buffers (7 pairs), 8: 1.22,
+#: 12: 1.14, 16: 0.97, 24: 0.87, 32: 0.85, 64: 0.72, 128: 0.62.
+#: Two workers break even near 16 rows.
 FLOOD_BANK_ROWS_PER_WORKER = 16
 
+#: Flood-bank Speedtest rows per worker.  Campaign rows (7 pairs, 9 at
+#: 16-24): 4: 1.32, 8: 1.23, 12: 1.14, 16: 1.08 and 1.05, 20: 1.11,
+#: 24: 0.92 and 1.06, 32: 0.78, 64: 0.72.  Two workers break even near
+#: 24 rows.
+SPEEDTEST_BANK_ROWS_PER_WORKER = 24
+
 #: Per-row engine rows per worker.  Campaign rows: BTS-APP ``oracle``
-#: 4: 0.62, 8: 0.67; Speedtest 4: 0.62.  Two rows never split over
-#: two shards (see :func:`repro.harness.parallel.shard_of`), so 4 is
+#: 4: 0.62, 8: 0.67; Speedtest, before it banked, 4: 0.62.  Two rows
+#: never split over two shards (see
+#: :func:`repro.harness.parallel.shard_of`), so 4 is
 #: the smallest measurable size.  The per-row loopback, a one-session
 #: bank a row, pays only from about 64 rows (4: 3.08, 16: 1.46,
 #: 64: 1.00, 256: 0.93) but shares this floor, as it forked at any
 #: size before workers were counted.
 PER_ROW_ROWS_PER_WORKER = 2
-
-
-def bankable_service(service) -> bool:
-    """Whether ``service`` can execute rows through a lockstep bank.
-
-    Two services are bankable, each only as its exact class (a
-    subclass may change what a run does).  One is BTS-APP
-    (:class:`~repro.baselines.btsapp.BtsApp`), through the flood bank
-    (:meth:`~repro.baselines.btsapp.BtsApp.run_bank`).  The other is
-    the loopback Swiftest
-    (:class:`~repro.core.variants.LoopbackSwiftest`), whose every run
-    already takes the columnar
-    :class:`~repro.core.sessionbank.SessionBank`, one session wide;
-    banked, its rows share wide banks and skip their environments.
-    Everything else takes the per-row engine: Speedtest, whose fixed
-    15 s Cubic flood no bank serves yet; FAST, FastBTS and
-    ``tcp-swiftest``, which stop early; and the fluid
-    fitted-model client.  This is the ``auto`` case of
-    :func:`executor_for`.
-    """
-    return executor_for(service, ExecutionMode.AUTO).run_bank is not None
 
 
 @dataclass(frozen=True)
@@ -345,24 +340,39 @@ def executor_for(service, mode) -> Executor:
     """The executor that runs ``service``'s rows under ``mode``.
 
     The one rule every campaign path reads: the row loop picks its
-    executor here, :func:`bankable_service` is its ``auto`` case, and
-    the driver sizes its fan-out from the executor's
+    executor here, and the driver sizes its fan-out from the executor's
     ``rows_per_worker``.  ``oracle`` always takes the per-row engine
     (one environment a row, with retries; a loopback row is then a
     one-session bank fed the environment's capacity); ``auto`` takes a
     bank when one serves the service; ``vectorized`` demands one and
-    raises ``ValueError`` otherwise.
+    raises ``ValueError`` otherwise.  A service can bank when
+    ``executor_for(service, "auto").run_bank`` is not ``None``.
+
+    Three services bank, each only as its exact class (a subclass may
+    change what a run does).  BTS-APP
+    (:class:`~repro.baselines.btsapp.BtsApp`) and Speedtest
+    (:class:`~repro.baselines.speedtest.SpeedtestLike`) run through the
+    flood bank, their fixed-length floods having no stop check.  The
+    loopback Swiftest (:class:`~repro.core.variants.LoopbackSwiftest`)
+    runs through the columnar
+    :class:`~repro.core.sessionbank.SessionBank`, which already serves
+    each of its runs one session wide; banked, its rows share wide
+    banks and skip their environments.  Everything else takes the
+    per-row engine: FAST, FastBTS and ``tcp-swiftest``, which stop
+    early, and the fluid fitted-model client.
     """
     mode = ExecutionMode.coerce(mode)
     if mode is not ExecutionMode.ORACLE:
         if type(service) is BtsApp:
             return _FLOOD_BANK
+        if type(service) is SpeedtestLike:
+            return _SPEEDTEST_BANK
         if type(service) is LoopbackSwiftest:
             return _SESSION_BANK
     if mode is ExecutionMode.VECTORIZED:
         raise ValueError(
             f"mode='vectorized' requires a bankable test "
-            f"(bts-app or swiftest-loopback), got "
+            f"(bts-app, speedtest or swiftest-loopback), got "
             f"{service.name!r}; use mode='auto' or 'oracle'"
         )
     return _PER_ROW
@@ -379,17 +389,17 @@ def iter_banked_rows(
     rows as a list of ``(index, _RowState)`` once the bank finishes.
 
     The batched counterpart of calling :func:`measure_row` per index
-    for a :func:`bankable_service`: rows are packed ``bank_size`` at a
-    time (default :data:`FLOOD_BANK_SIZE` for BTS-APP,
-    :data:`BANK_SIZE` for the loopback) into one bank call, whose
-    results are byte-identical to the per-row engine's (the oracle
-    contract), so the caller's checkpoints and reports cannot tell the
-    difference.
+    for a service that :func:`executor_for` banks: rows are packed
+    ``bank_size`` at a time (default :data:`FLOOD_BANK_SIZE` for
+    BTS-APP and Speedtest, :data:`BANK_SIZE` for the loopback) into one
+    bank call, whose results are byte-identical to the per-row
+    engine's (the oracle contract), so the caller's checkpoints and
+    reports cannot tell the difference.
 
-    * BTS-APP rows build their environments with
+    * BTS-APP and Speedtest rows build their environments with
       :func:`~repro.harness.collection.row_environment`, so each row's
-      RNG stream continues into its flood, and run through
-      :meth:`~repro.baselines.btsapp.BtsApp.run_bank`.
+      RNG stream continues into its flood, and run through the
+      service's ``run_bank``.
     * A loopback bank needs one float per row, the mean access
       capacity over the probing window, and
       :func:`~repro.harness.collection.row_capacities` computes it
@@ -399,7 +409,7 @@ def iter_banked_rows(
     carries no fault plan, its capacity is positive (the campaign
     checks its contexts; the OU floor is a share of a positive base, a
     shaped link's throttle is clamped to ``(0, base]``), and a
-    fault-free BTS-APP flood always converges.
+    fault-free BTS-APP or Speedtest flood always converges.
 
     Banks are yielded in ``indices`` order, rows in ``indices`` order
     within each; per-row results are order-free by construction.
@@ -444,8 +454,9 @@ def iter_banked_rows(
 
 
 def _flood_bank(service, subset: Dataset, pending, seed: int):
-    """One BTS-APP bank over rows ``pending``: each row's bandwidth and
-    outcome, and the seconds the bank took, environments included."""
+    """One flood bank (BTS-APP or Speedtest) over rows ``pending``: each
+    row's bandwidth and outcome, and the seconds the bank took,
+    environments included."""
     started = time.perf_counter()
     envs = [row_environment(subset, index, seed) for index in pending]
     results = service.run_bank(envs)
@@ -482,6 +493,9 @@ def _session_bank(service, subset: Dataset, pending, seed: int):
 
 _FLOOD_BANK = Executor(
     _flood_bank, FLOOD_BANK_SIZE, FLOOD_BANK_ROWS_PER_WORKER
+)
+_SPEEDTEST_BANK = Executor(
+    _flood_bank, FLOOD_BANK_SIZE, SPEEDTEST_BANK_ROWS_PER_WORKER
 )
 _SESSION_BANK = Executor(
     _session_bank, BANK_SIZE, SESSION_BANK_ROWS_PER_WORKER

@@ -21,7 +21,7 @@ from repro.harness.config import CampaignConfig
 from repro.harness.parallel import run_campaign
 from repro.harness.runtime import (
     FLOOD_BANK_ROWS_PER_WORKER,
-    bankable_service,
+    executor_for,
     iter_banked_rows,
 )
 from repro.obs.metrics import MetricsRegistry, use_registry
@@ -126,51 +126,61 @@ def test_vectorized_requires_bankable_test(contexts):
     with pytest.raises(ValueError, match="bankable"):
         run_campaign(
             contexts,
-            CampaignConfig(seed=1, max_tests=4, test="speedtest",
+            CampaignConfig(seed=1, max_tests=4, test="fast",
                            mode="vectorized"),
         )
     with pytest.raises(ValueError, match="bankable"):
         run_campaign(
             contexts,
-            CampaignConfig(seed=1, max_tests=4, test="speedtest",
+            CampaignConfig(seed=1, max_tests=4, test="fast",
                            n_shards=2, mode="vectorized"),
         )
 
 
+def bankable(service) -> bool:
+    return executor_for(service, "auto").run_bank is not None
+
+
 def test_bankable_service_predicate(registry):
     from repro.baselines.btsapp import BtsApp
+    from repro.baselines.speedtest import SpeedtestLike
     from repro.core.registry import BandwidthModelRegistry
     from repro.core.variants import LoopbackSwiftest, create_bandwidth_test
 
-    assert bankable_service(LoopbackSwiftest())
+    assert bankable(LoopbackSwiftest())
     # Every run is already a one-session bank, whatever its ladder.
-    assert bankable_service(LoopbackSwiftest(model=registry.model("5G")))
+    assert bankable(LoopbackSwiftest(model=registry.model("5G")))
 
     class TweakedLoopback(LoopbackSwiftest):
         """A subclass may change what a run does: never banked."""
 
-    assert not bankable_service(TweakedLoopback())
-    for cc_name in ("cubic", "reno", "bbr"):
-        assert bankable_service(
-            create_bandwidth_test("bts-app", cc_name=cc_name)
-        )
+    assert not bankable(TweakedLoopback())
+    for name in ("bts-app", "speedtest"):
+        for cc_name in ("cubic", "reno", "bbr"):
+            assert bankable(create_bandwidth_test(name, cc_name=cc_name))
 
     class TweakedBtsApp(BtsApp):
         """A subclass may change what a run does: never banked."""
 
-    assert not bankable_service(TweakedBtsApp())
+    class TweakedSpeedtest(SpeedtestLike):
+        """A subclass may change what a run does: never banked."""
+
+    assert not bankable(TweakedBtsApp())
+    assert not bankable(TweakedSpeedtest())
     # Floods with a stop check, and the fitted-model client.
-    for name in ("speedtest", "fast", "fastbts", "tcp-swiftest"):
-        assert not bankable_service(create_bandwidth_test(name)), name
-    assert not bankable_service(
+    for name in ("fast", "fastbts", "tcp-swiftest"):
+        assert not bankable(create_bandwidth_test(name)), name
+    assert not bankable(
         create_bandwidth_test("swiftest", registry=BandwidthModelRegistry())
     )
+    # oracle never banks.
+    assert executor_for(SpeedtestLike(), "oracle").run_bank is None
 
 
 def test_iter_banked_rows_refuses_an_unbankable_service(contexts):
     from repro.core.variants import create_bandwidth_test
 
-    rows = iter_banked_rows(create_bandwidth_test("speedtest"), contexts,
+    rows = iter_banked_rows(create_bandwidth_test("fast"), contexts,
                             [0], 1)
     with pytest.raises(ValueError, match="cannot be banked"):
         next(rows)
