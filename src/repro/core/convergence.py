@@ -74,10 +74,13 @@ class ConvergenceDetector:
 class RollingConvergenceKernel:
     """The :class:`ConvergenceDetector` rewritten as a columnar kernel.
 
-    Tracks ``n`` independent sliding windows at once — one per session
-    in a :class:`~repro.core.sessionbank.SessionBank` — in a single
-    ``(n, window)`` ring buffer.  Every judgement is *bit-identical* to
-    running ``n`` scalar detectors side by side:
+    Tracks the sliding windows of ``n`` live sessions at once — the
+    unfinished sessions of a :class:`~repro.core.sessionbank.SessionBank`
+    — in one ``(window, n)`` ring buffer.  Every live row pushes one
+    sample at every step, so every row writes the same ring column, one
+    position shared by the whole kernel; when sessions finish,
+    :meth:`compact` drops their rows.  Every judgement is
+    *bit-identical* to running ``n`` scalar detectors side by side:
 
     * pushes and resets are plain array stores, so the window contents
       are the same floats the deque would hold;
@@ -88,10 +91,6 @@ class RollingConvergenceKernel:
       reducing, so even order-sensitive reductions — ``np.mean``'s
       pairwise summation, Python's left-to-right ``sum`` — see the
       exact operand sequence the scalar detector's deque yields.
-
-    All per-step methods take an index array selecting the sessions
-    still active, which is how the bank's done-mask drops finished
-    sessions from the tick.
     """
 
     def __init__(self, n: int, window: int = WINDOW, threshold: float = THRESHOLD):
@@ -101,65 +100,72 @@ class RollingConvergenceKernel:
             raise ValueError(f"window must be >= 2, got {window}")
         if not 0 < threshold < 1:
             raise ValueError(f"threshold must be in (0, 1), got {threshold}")
-        self.n = n
         self.window = window
         self.threshold = threshold
-        self._buf = np.zeros((n, window), dtype=np.float64)
-        self._pos = np.zeros(n, dtype=np.int64)
+        self._ring = np.zeros((window, n), dtype=np.float64)
         self._count = np.zeros(n, dtype=np.int64)
+        #: The ring column the next push writes, the same for every row.
+        self._pos = 0
 
-    def push(self, idx: np.ndarray, samples: np.ndarray) -> None:
-        """Record one sample per selected session (same validation as
-        the scalar detector: finite, non-negative)."""
+    @property
+    def n(self) -> int:
+        """Live rows."""
+        return self._count.size
+
+    def push(self, samples: np.ndarray) -> None:
+        """Record one sample per live row (same validation as the
+        scalar detector: finite, non-negative)."""
         samples = np.asarray(samples, dtype=np.float64)
+        if samples.shape != (self.n,):
+            raise ValueError(
+                f"expected one sample per live row ({self.n}), got "
+                f"shape {samples.shape}"
+            )
         if not np.all(np.isfinite(samples)):
             raise ValueError("samples must be finite")
         if np.any(samples < 0):
             raise ValueError("samples must be non-negative")
-        self._buf[idx, self._pos[idx]] = samples
-        self._pos[idx] = (self._pos[idx] + 1) % self.window
-        self._count[idx] = np.minimum(self._count[idx] + 1, self.window)
+        self._ring[self._pos] = samples
+        self._pos = (self._pos + 1) % self.window
+        np.minimum(self._count + 1, self.window, out=self._count)
 
-    def reset(self, idx: np.ndarray) -> None:
-        """Forget the selected sessions' windows (rate change)."""
-        self._count[idx] = 0
+    def reset(self, rows: np.ndarray) -> None:
+        """Forget the selected rows' windows (rate change)."""
+        self._count[rows] = 0
 
-    def counts(self, idx: np.ndarray) -> np.ndarray:
-        return self._count[idx]
+    def compact(self, keep: np.ndarray) -> None:
+        """Keep only the rows where the boolean mask ``keep`` is set, in
+        order; the shared position stays."""
+        self._ring = np.compress(keep, self._ring, axis=1)
+        self._count = self._count[keep]
 
-    def converged(self, idx: np.ndarray) -> np.ndarray:
-        """Boolean mask over ``idx``: full window agrees within the
-        threshold.  A window is only "full" after ``window`` pushes
+    def converged(self) -> np.ndarray:
+        """Boolean mask over the live rows: full window agrees within
+        the threshold.  A window is only "full" after ``window`` pushes
         since the last reset, at which point every ring slot holds a
-        fresh sample, so whole-row max/min are exactly the deque's."""
-        rows = self._buf[idx]
-        top = rows.max(axis=1)
-        out = (self._count[idx] >= self.window) & (top > 0)
+        fresh sample, so whole-column max/min are exactly the deque's."""
+        top = self._ring.max(axis=0)
+        out = (self._count >= self.window) & (top > 0)
         live = np.flatnonzero(out)
         if live.size:
             t = top[live]
-            out[live] = (t - rows[live].min(axis=1)) / t <= self.threshold
+            out[live] = (t - self._ring.min(axis=0)[live]) / t <= self.threshold
         return out
 
-    def ordered_window(self, i: int) -> np.ndarray:
-        """Session ``i``'s current window, oldest sample first — the
-        exact sequence ``list(detector._samples)`` would give."""
-        pos = int(self._pos[i])
-        count = int(self._count[i])
-        if count >= self.window:
-            return np.concatenate((self._buf[i, pos:], self._buf[i, :pos]))
-        start = (pos - count) % self.window
-        cols = (start + np.arange(count)) % self.window
-        return self._buf[i, cols]
+    def ordered_window(self, row: int) -> np.ndarray:
+        """Row ``row``'s current window, oldest sample first — the exact
+        sequence ``list(detector._samples)`` would give."""
+        count = int(self._count[row])
+        cols = (self._pos - count + np.arange(count)) % self.window
+        return self._ring[cols, row]
 
-    def values(self, idx: np.ndarray) -> np.ndarray:
-        """Converged results for the sessions ``idx``: ``np.mean`` over
-        each full window in push order, matching
+    def values(self, rows: np.ndarray) -> np.ndarray:
+        """Converged results for the live rows ``rows``: ``np.mean``
+        over each full window in push order, matching
         :meth:`ConvergenceDetector.value` operation for operation.
 
         The windows are gathered oldest first into C-ordered rows, over
         which ``mean(axis=1)`` is each row's own pairwise sum."""
-        idx = np.asarray(idx, dtype=np.int64)
-        cols = (self._pos[idx, None] + np.arange(self.window)) % self.window
-        windows = np.ascontiguousarray(self._buf[idx[:, None], cols])
+        cols = (self._pos + np.arange(self.window)) % self.window
+        windows = np.ascontiguousarray(self._ring[:, rows][cols].T)
         return windows.mean(axis=1)

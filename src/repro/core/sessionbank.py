@@ -8,14 +8,19 @@ every fault-free session: it runs **N sessions in lockstep** over
 columnar state arrays, a campaign's rows thousands at a time
 (:func:`repro.harness.runtime.iter_banked_rows`) and a single
 :class:`~repro.core.variants.LoopbackSwiftest` run one session wide.
-Every 50 ms tick is a handful of NumPy operations across all
-still-active sessions — per-session ladder rung and commanded probing
-rate, the wire-quantized server pacing rate, convergence-window
-statistics (:class:`~repro.core.convergence.RollingConvergenceKernel`),
-the loss-discounted saturation floor
+Every 50 ms tick is a handful of NumPy operations across the live
+sessions — per-session ladder rung and commanded probing rate, the
+wire-quantized server pacing rate, convergence-window statistics
+(:class:`~repro.core.convergence.RollingConvergenceKernel`), the
+loss-discounted saturation floor
 (:func:`~repro.core.probing.saturation_floor`), and elapsed/duration
-bookkeeping.  A done-mask drops finished sessions from the tick, so a
-bank's cost tracks the *active* population.
+bookkeeping.  The state arrays hold live sessions only, so a tick
+gathers and scatters nothing: a session's outputs are written by its
+id when it converges or times out, and on a tick where some session
+finished, one keep-mask compacts every array.  Every live session
+pushes one sample per tick from tick 0, so the convergence ring
+writes one shared column per tick, and the pacing term is recomputed
+only when a session's rate changes.
 
 The contract is the same one the dataset engine established in
 ``repro/dataset``: the per-session engine stays alive as the reference
@@ -30,7 +35,9 @@ How bit-equality is achieved (the same playbook as PR 4):
 
 * every elementwise float expression replicates the scalar code's
   operand order, so IEEE-754 gives the same result lane by lane
-  (e.g. the pacing arithmetic ``rate * 1e6 / 8 * dt / payload``);
+  (e.g. the pacing arithmetic ``rate * 1e6 / 8 * dt / payload``,
+  evaluated once per rate change and added to the carry each tick, as
+  the scalar server adds the same term);
 * the tick clock is the scalar simulator's *accumulated* clock
   (``t += 0.05``), never ``k * 0.05``;
 * commanded rates cross the "wire" through the same kbps quantization
@@ -113,6 +120,12 @@ def _ladder_rungs(model) -> np.ndarray:
                 f"after {rungs[-1]}"
             )
         rungs.append(nxt)
+
+
+def _pace(srv_rate: np.ndarray) -> np.ndarray:
+    """Packets a server paced at ``srv_rate`` Mbps owes per interval,
+    with the scalar server's operands in its order."""
+    return srv_rate * 1e6 / 8 * SAMPLE_INTERVAL_S / DATA_PAYLOAD_BYTES
 
 
 def _wire_rate(rate_mbps: np.ndarray, server_capacity: np.ndarray) -> np.ndarray:
@@ -222,14 +235,19 @@ class SessionBank:
         n = self.n
         times = tick_times(self.max_duration_s)
         n_ticks = len(times)
+        ladder = self.ladder
 
+        # Live state: lane j is session ids[j], and a lane exists only
+        # while its session runs.  Finished sessions' lanes are dropped
+        # by one keep-mask on the ticks where some session finished.
+        ids = np.arange(n, dtype=np.int64)
         #: Packets the policer admits per interval (constant per
         #: session): int(capacity * 1e6 / 8 * dt / payload), truncated
         #: exactly as the scalar loop's int() does.
         budget = np.trunc(
             self.capacity * 1e6 / 8 * SAMPLE_INTERVAL_S / DATA_PAYLOAD_BYTES
         ).astype(np.int64)
-
+        server_capacity = self.server_capacity
         # Controller state (commanded rate is *unquantized*; only the
         # server-side pacing rate crosses the kbps wire).
         cmd_rate = np.full(n, float(self.model.initial_rate_mbps()))
@@ -237,11 +255,10 @@ class SessionBank:
         on_ladder = np.ones(n, dtype=bool)
         streak = np.zeros(n, dtype=np.int64)
         kernel = RollingConvergenceKernel(n, window=WINDOW, threshold=THRESHOLD)
-
-        # Server-side pacing state.
-        srv_rate = _wire_rate(cmd_rate, self.server_capacity)
+        # Server-side pacing: packets due per interval at the paced
+        # rate, recomputed only when a session's rate changes.
+        pace = _pace(_wire_rate(cmd_rate, server_capacity))
         carry = np.zeros(n, dtype=np.float64)
-
         delivered_total = np.zeros(n, dtype=np.int64)
         dropped_total = np.zeros(n, dtype=np.int64)
         n_cmds = np.ones(n, dtype=np.int64)  # the initial RATE_COMMAND
@@ -249,100 +266,113 @@ class SessionBank:
             [float(cmd_rate[0])] for _ in range(n)
         ]
 
+        # Outputs, by session id, written when a session finishes
+        # (sample_rates every tick).
         out_bw = np.zeros(n, dtype=np.float64)
         out_duration = np.zeros(n, dtype=np.float64)
         out_converged = np.zeros(n, dtype=bool)
         n_samples = np.zeros(n, dtype=np.int64)
+        out_delivered = np.zeros(n, dtype=np.int64)
+        out_dropped = np.zeros(n, dtype=np.int64)
+        out_cmds = np.zeros(n, dtype=np.int64)
         sample_rates = np.zeros((n, n_ticks), dtype=np.float64)
 
-        active = np.arange(n, dtype=np.int64)
+        def finish(lanes, k: int, t: float) -> None:
+            # Reads the live arrays as the tick has left them.
+            done = ids[lanes]
+            out_duration[done] = t
+            n_samples[done] = k + 1
+            out_delivered[done] = delivered_total[lanes]
+            out_dropped[done] = dropped_total[lanes]
+            out_cmds[done] = n_cmds[lanes]
+
         for k, t in enumerate(times):
-            if active.size == 0:
-                break
             # -- emit: packets due this interval at the paced rate ------
-            due = (
-                srv_rate[active] * 1e6 / 8 * SAMPLE_INTERVAL_S
-                / DATA_PAYLOAD_BYTES
-                + carry[active]
-            )
+            due = pace + carry
             whole = np.floor(due)
-            carry[active] = due - whole
+            carry = due - whole
             sent = whole.astype(np.int64)
             # -- police: the capacity cap drops the excess --------------
-            delivered = np.minimum(sent, budget[active])
-            dropped_total[active] += sent - delivered
-            delivered_total[active] += delivered
+            delivered = np.minimum(sent, budget)
+            dropped_total += sent - delivered
+            delivered_total += delivered
             # -- sample: delivered goodput over the interval ------------
             rate = (
                 delivered * DATA_PAYLOAD_BYTES * 8 / 1e6 / SAMPLE_INTERVAL_S
             )
-            sample_rates[active, k] = rate
-            n_samples[active] = k + 1
-            kernel.push(active, rate)
+            sample_rates[ids, k] = rate
+            kernel.push(rate)
             # -- converge? ----------------------------------------------
-            conv = kernel.converged(active)
+            conv = kernel.converged()
             if conv.any():
-                done = active[conv]
-                out_bw[done] = kernel.values(done)
-                out_duration[done] = t
-                out_converged[done] = True
-                keep = ~conv
-                active = active[keep]
-                if active.size == 0:
+                lanes = np.flatnonzero(conv)
+                out_bw[ids[lanes]] = kernel.values(lanes)
+                out_converged[ids[lanes]] = True
+                finish(lanes, k, t)
+                if lanes.size == ids.size:
                     break
-                # Narrow this tick's working arrays to the survivors.
-                sent = sent[keep]
-                delivered = delivered[keep]
-                rate = rate[keep]
+                keep = ~conv
+                kernel.compact(keep)
+                (
+                    ids, budget, server_capacity, cmd_rate, rung_idx,
+                    on_ladder, streak, pace, carry, delivered_total,
+                    dropped_total, n_cmds, sent, delivered, rate,
+                ) = (
+                    lane[keep] for lane in (
+                        ids, budget, server_capacity, cmd_rate, rung_idx,
+                        on_ladder, streak, pace, carry, delivered_total,
+                        dropped_total, n_cmds, sent, delivered, rate,
+                    )
+                )
             # -- saturation test (loss-discounted floor) ----------------
-            loss = np.zeros(active.size, dtype=np.float64)
-            had = sent > 0
-            loss[had] = np.maximum(0.0, 1.0 - delivered[had] / sent[had])
+            # A lane that sent nothing has loss 0: its ratio reads 1.
+            ratio = np.divide(
+                delivered, sent, out=np.ones(ids.size), where=sent > 0
+            )
+            loss = np.maximum(0.0, 1.0 - ratio)
             floor = saturation_floor(
-                cmd_rate[active],
+                cmd_rate,
                 np.minimum(loss, 0.99),
                 saturation_margin=SATURATION_MARGIN,
                 max_loss_discount=MAX_LOSS_DISCOUNT,
             )
-            saturated = rate < floor
-            streak[active[saturated]] = 0
-            unsat = active[~saturated]
-            streak[unsat] += 1
+            streak = np.where(rate < floor, 0, streak + 1)
             # -- ladder up after the dwell ------------------------------
-            step = unsat[streak[unsat] >= UNSATURATED_DWELL]
+            step = np.flatnonzero(streak >= UNSATURATED_DWELL)
             if step.size:
                 streak[step] = 0
                 nxt_idx = rung_idx[step] + 1
-                climbs = on_ladder[step] & (nxt_idx < len(self.ladder))
+                climbs = on_ladder[step] & (nxt_idx < len(ladder))
                 climbers = step[climbs]
                 escapers = step[~climbs]
-                cmd_rate[climbers] = self.ladder[nxt_idx[climbs]]
+                cmd_rate[climbers] = ladder[nxt_idx[climbs]]
                 rung_idx[climbers] = nxt_idx[climbs]
                 cmd_rate[escapers] = cmd_rate[escapers] * ESCAPE_FACTOR
                 on_ladder[escapers] = False
                 kernel.reset(step)
                 n_cmds[step] += 1
-                srv_rate[step] = _wire_rate(
-                    cmd_rate[step], self.server_capacity[step]
+                pace[step] = _pace(
+                    _wire_rate(cmd_rate[step], server_capacity[step])
                 )
-                for i in step:
-                    rate_commands[i].append(float(cmd_rate[i]))
+                for i, rate_mbps in zip(
+                    ids[step].tolist(), cmd_rate[step].tolist()
+                ):
+                    rate_commands[i].append(rate_mbps)
             # -- timeout: this was the final tick -----------------------
-            if k + 1 == n_ticks and active.size:
-                for i in active:
-                    window = kernel.ordered_window(i).tolist()
+            if k + 1 == n_ticks:
+                for lane, i in enumerate(ids.tolist()):
+                    window = kernel.ordered_window(lane).tolist()
                     out_bw[i] = (
-                        sum(window) / len(window) if window else cmd_rate[i]
+                        sum(window) / len(window) if window else cmd_rate[lane]
                     )
-                out_duration[active] = t
-                active = active[:0]
+                finish(slice(None), k, t)
 
         return BankResult(
             bandwidth_mbps=out_bw,
             duration_s=out_duration,
-            packets_delivered=delivered_total,
-            packets_dropped=dropped_total,
-            n_rate_commands=n_cmds,
+            packets_delivered=out_delivered,
+            packets_dropped=out_dropped,
+            n_rate_commands=out_cmds,
             converged=out_converged,
             n_samples=n_samples,
             times=times,

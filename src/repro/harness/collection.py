@@ -19,13 +19,16 @@ computes exactly the float ``row_environment(...).true_mean_capacity``
 would give, for a block of rows at once, without building an
 environment, network, link or server for any of them.  It seeds the
 block's RNGs in one array pass (:func:`_block_rngs`, numpy's
-``SeedSequence`` mix over every row at once), makes each row's own
-draws in the same order from an RNG whose state equals
-:func:`_row_rng`'s, draws only the prefix of the OU grid the window
-reaches, and runs the recursion, the interpolation and the mean as
-array passes over the block.  :func:`_row_rng` stays the per-row path
-(environments, retries, the flood bank) and the reference the kernel
-is tested against.
+``SeedSequence`` mix over every row at once), and each row then makes
+the per-row path's draws, in its order, in two calls on an RNG whose
+state equals :func:`_row_rng`'s: two doubles for the shaping gate and
+sigma, then the normals of the OU start and of the prefix of shocks
+the window reaches.  The gate (:func:`repro.harness.pairs._access_gate`)
+is the per-row path's own, applied to the whole block; the uniform
+and normal scaling, the recursion, the interpolation and the mean run
+as array passes over the block.  :func:`_row_rng` stays the per-row
+path (environments, retries, the flood bank) and the reference the
+kernel is tested against.
 
 Beyond fidelity, this closes a validation loop: the §3 analyses run on
 measured campaigns must agree with the same analyses on ground-truth
@@ -50,17 +53,16 @@ from repro.dataset.records import Dataset
 from repro.harness.pairs import (
     ACCESS_TAU_S,
     ACCESS_TRACE_S,
-    _access_draws,
+    _access_gate,
+    _shaped_trace,
     environment_for_record,
 )
 from repro.netsim.trace import (
-    ShapedTrace,
     grid_points,
     grid_positions,
     interpolate,
-    ou_draws,
     ou_grids,
-    positive_capacity,
+    positive_capacities,
     sample_times,
 )
 from repro.testbed.env import TestEnvironment
@@ -253,16 +255,23 @@ def row_capacities(
     Element ``k`` is, bit for bit,
     ``row_environment(subset, indices[k], seed).true_mean_capacity(0.0,
     window_s)``, with the same errors for a bad index or a capacity
-    that is not positive; every index is checked before any row is
-    seeded.  Rows go through the array passes :data:`CAPACITY_BLOCK`
-    at a time, starting with their RNGs' seeding; a shaped link (1% of
-    rows) takes its own trace's mean.
+    that is not positive; every index and capacity is checked before
+    any row is seeded.  Rows go through the array passes
+    :data:`CAPACITY_BLOCK` at a time, starting with their RNGs'
+    seeding.  A fluctuating row makes two draw calls: ``random`` for
+    its shaping gate and sigma, and ``standard_normal`` for its OU
+    start and shocks, which numpy's ``normal(0, s)`` scales as
+    ``0.0 + s * z``.  A shaped link (1% of rows) takes its own trace's
+    mean.
     """
-    indices = [int(i) for i in indices]
+    indices = np.asarray(indices, dtype=np.int64).reshape(-1)
     n_rows = len(subset)
-    for index in indices:
-        if not 0 <= index < n_rows:
-            raise IndexError(f"row {index} outside subset of {n_rows}")
+    outside = (indices < 0) | (indices >= n_rows)
+    if outside.any():
+        raise IndexError(
+            f"row {indices[outside.argmax()]} outside subset of {n_rows}"
+        )
+    bases = positive_capacities(subset.bandwidth[indices])
     out = np.empty(len(indices))
     lo, hi, frac = grid_positions(
         sample_times(0.0, window_s), ACCESS_TRACE_S,
@@ -271,33 +280,40 @@ def row_capacities(
     # The window reads grid points 0..max(hi), so max(hi) shocks; the
     # row's stream is never read after them.
     n_shocks = int(hi.max())
-    bandwidth = subset.bandwidth
+    # Each row's first two doubles, then its OU start and shocks.
+    uniforms = np.empty((CAPACITY_BLOCK, 2))
+    normals = np.empty((CAPACITY_BLOCK, n_shocks + 1))
     for start in range(0, len(indices), CAPACITY_BLOCK):
         block = indices[start:start + CAPACITY_BLOCK]
-        ou_rows, bases, sigmas, x0s, shocks = [], [], [], [], []
-        for k, index, rng in zip(
-            range(start, start + len(block)), block, _block_rngs(seed, block)
-        ):
-            base = positive_capacity(float(bandwidth[index]))
-            weather = _access_draws(base, rng)
-            if isinstance(weather, ShapedTrace):
-                out[k] = weather.mean_capacity(0.0, window_s)
-                continue
-            x0, row_shocks = ou_draws(rng, weather, n_shocks)
-            ou_rows.append(k)
-            bases.append(base)
-            sigmas.append(weather)
-            x0s.append(x0)
-            shocks.append(row_shocks)
-        if ou_rows:
-            grids = ou_grids(
-                bases, sigmas, x0s, np.array(shocks), ACCESS_TAU_S
-            )
-            # Indexing leaves the samples F-ordered; over C-ordered
-            # rows, mean(axis=1) is each row's own pairwise sum, which
-            # is what the per-row mean computes.
-            samples = np.ascontiguousarray(interpolate(grids, lo, hi, frac))
-            out[ou_rows] = samples.mean(axis=1)
+        base = bases[start:start + CAPACITY_BLOCK]
+        rngs = _block_rngs(seed, block)
+        u = uniforms[:len(block)]
+        for row_u, rng in zip(u, rngs):
+            rng.random(out=row_u)
+        shaped, sigma = _access_gate(u)
+        for k in np.flatnonzero(shaped):
+            out[start + k] = _shaped_trace(
+                float(base[k]), u[k, 1], rngs[k]
+            ).mean_capacity(0.0, window_s)
+        ou_rows = np.flatnonzero(~shaped)
+        if not ou_rows.size:
+            continue
+        z = normals[:ou_rows.size]
+        for row_z, k in zip(z, ou_rows):
+            rngs[k].standard_normal(out=row_z)
+        sigma = sigma[ou_rows]
+        # normal(0, 1, n) is 0.0 + 1.0 * z, and 1.0 * z is z.
+        shocks = z[:, 1:]
+        shocks += 0.0
+        grids = ou_grids(
+            base[ou_rows], sigma, 0.0 + sigma * z[:, 0], shocks,
+            ACCESS_TAU_S,
+        )
+        # Indexing leaves the samples F-ordered; over C-ordered rows,
+        # mean(axis=1) is each row's own pairwise sum, which is what
+        # the per-row mean computes.
+        samples = np.ascontiguousarray(interpolate(grids, lo, hi, frac))
+        out[start + ou_rows] = samples.mean(axis=1)
     return out
 
 

@@ -34,12 +34,52 @@ SHAPED_PROBABILITY = 0.01
 #: Range of fluctuation magnitudes for ordinary environments.
 FLUCTUATION_RANGE = (0.01, 0.07)
 
+#: A shaped link's throttle, as a share of its capacity, and the
+#: ranges of its shaping period and duty cycle.
+SHAPED_THROTTLE_RANGE = (0.3, 0.6)
+SHAPED_PERIOD_RANGE_S = (2.0, 6.0)
+SHAPED_DUTY_RANGE = (0.4, 0.7)
+
 #: Mean-reversion time and pre-drawn length of a fluctuating link.
 ACCESS_TAU_S = 2.0
 ACCESS_TRACE_S = 40.0
 
 #: Server RTT spread: BTS pools sit near the user's IXP domain.
 RTT_RANGE_S = (0.008, 0.035)
+
+
+def _uniform(u, bounds):
+    """``Generator.uniform(*bounds)`` from the double ``u`` it draws:
+    numpy computes ``low + (high - low) * u``."""
+    low, high = bounds
+    return low + (high - low) * u
+
+
+def _access_gate(u: np.ndarray):
+    """An access link's first two draws from its first two doubles,
+    ``u[..., 0]`` and ``u[..., 1]``, for one link or a block of them:
+    whether the link is shaped, and the ``sigma`` a fluctuating link
+    draws from the second.  A shaped link draws its throttle from the
+    second instead (:func:`_shaped_trace`)."""
+    shaped = u[..., 0] < SHAPED_PROBABILITY
+    return shaped, _uniform(u[..., 1], FLUCTUATION_RANGE)
+
+
+def _shaped_trace(
+    bandwidth_mbps: float, u1: float, rng: np.random.Generator
+) -> ShapedTrace:
+    """A shaped link's trace: its throttle from its second double
+    ``u1``, then its period and duty cycle from ``rng``.  The link
+    throttles to a share of its capacity, but never below 1 Mbps — nor
+    above the capacity itself, which a sub-megabit context would
+    otherwise get."""
+    throttled = max(1.0, bandwidth_mbps * _uniform(u1, SHAPED_THROTTLE_RANGE))
+    return ShapedTrace(
+        base_mbps=bandwidth_mbps,
+        throttled_mbps=min(bandwidth_mbps, throttled),
+        period_s=rng.uniform(*SHAPED_PERIOD_RANGE_S),
+        duty_cycle=rng.uniform(*SHAPED_DUTY_RANGE),
+    )
 
 
 def _access_draws(
@@ -49,20 +89,13 @@ def _access_draws(
 
     Returns the finished :class:`ShapedTrace` of a shaped link, or the
     ``sigma`` of a fluctuating one, whose OU draws
-    (:func:`repro.netsim.trace.ou_draws`) come next on ``rng``.  A
-    shaped link throttles to a share of its capacity, but never below
-    1 Mbps — nor above the capacity itself, which a sub-megabit
-    context would otherwise get.
+    (:func:`repro.netsim.trace.ou_draws`) come next on ``rng``.
     """
-    if rng.random() < SHAPED_PROBABILITY:
-        throttled = max(1.0, bandwidth_mbps * rng.uniform(0.3, 0.6))
-        return ShapedTrace(
-            base_mbps=bandwidth_mbps,
-            throttled_mbps=min(bandwidth_mbps, throttled),
-            period_s=rng.uniform(2.0, 6.0),
-            duty_cycle=rng.uniform(0.4, 0.7),
-        )
-    return float(rng.uniform(*FLUCTUATION_RANGE))
+    u = rng.random(2)
+    shaped, sigma = _access_gate(u)
+    if shaped:
+        return _shaped_trace(bandwidth_mbps, u[1], rng)
+    return float(sigma)
 
 
 def _access_trace(

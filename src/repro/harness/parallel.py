@@ -90,7 +90,7 @@ from repro.harness.runtime import (
     measure_row,
     write_checkpoint,
 )
-from repro.netsim.trace import positive_capacity
+from repro.netsim.trace import positive_capacities
 from repro.obs.manifest import build_campaign_manifest, write_manifest
 from repro.obs.metrics import (
     MetricsRegistry,
@@ -300,8 +300,7 @@ def run_campaign(
     # Every row's environment needs a positive, finite capacity.  Check
     # them all before any row runs or any shard forks, so a bad context
     # fails the same way in-process, sharded and banked.
-    for bandwidth in subset.bandwidth.tolist():
-        positive_capacity(bandwidth)
+    positive_capacities(subset.bandwidth)
     fingerprint = campaign_fingerprint(
         subset, config.seed, config.max_tests, service.name
     )

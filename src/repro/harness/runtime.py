@@ -56,7 +56,7 @@ from typing import Callable, Dict, List, Optional, Union
 import numpy as np
 
 from repro.baselines.btsapp import BtsApp
-from repro.baselines.common import BandwidthTestService
+from repro.baselines.common import BandwidthTestService, TestOutcome
 from repro.baselines.speedtest import SpeedtestLike
 from repro.core.attribution import attribute_rows, attribution_summary
 from repro.core.variants import LoopbackSwiftest
@@ -314,8 +314,9 @@ SPEEDTEST_BANK_ROWS_PER_WORKER = 24
 #: :func:`repro.harness.parallel.shard_of`), so 4 is
 #: the smallest measurable size.  The per-row loopback, a one-session
 #: bank a row, pays only from about 64 rows (4: 3.08, 16: 1.46,
-#: 64: 1.00, 256: 0.93) but shares this floor, as it forked at any
-#: size before workers were counted.
+#: 64: 1.00, 256: 0.93; with the live-lane bank, about 1 ms a row,
+#: 4: 4.13, 16: 1.37, 64: 1.10, 256: 0.89) but shares this floor, as
+#: it forked at any size before workers were counted.
 PER_ROW_ROWS_PER_WORKER = 2
 
 
@@ -324,8 +325,9 @@ class Executor:
     """What runs a campaign's rows, and when forking pays for it.
 
     ``run_bank`` measures one bank of rows (``None`` for the per-row
-    engine, :func:`measure_row`); ``bank_size`` is the rows per bank
-    call.  ``rows_per_worker`` is the measured size below which a
+    engine, :func:`measure_row`) and returns each row's bandwidth, a
+    map from outcome value to its count of rows, and the seconds the
+    bank took; ``bank_size`` is the rows per bank call.  ``rows_per_worker`` is the measured size below which a
     forked shard worker costs more than it saves, so
     :func:`repro.harness.parallel.run_campaign` forks at most
     ``rows left // rows_per_worker`` workers.
@@ -420,7 +422,9 @@ def iter_banked_rows(
     observation a row), but the counters are looked up once per call
     and incremented once per bank, by the bank's counts.  Each row
     observes an even share of its bank's wall time, which runs from
-    before the bank's inputs (capacities or environments) are built.
+    before the bank's inputs (capacities or environments) are built,
+    in one :meth:`~repro.obs.metrics.Histogram.observe_many` call a
+    bank.
     """
     executor = executor_for(service, ExecutionMode.AUTO)
     if executor.run_bank is None:
@@ -441,38 +445,38 @@ def iter_banked_rows(
         )
         measured.inc(len(pending))
         retries.inc(0)
-        for value, count in Counter(o.value for o in outcomes).items():
-            metrics.counter(f"campaign.outcome.{value}").inc(count)
-        per_row_s = bank_s / len(pending)
-        batch = []
-        for index, mbps in zip(pending, bandwidth):
-            row_wall.observe(per_row_s)
-            batch.append(
-                (index, _RowState(measured_mbps=float(mbps), attempts=1))
-            )
-        yield batch
+        for value, count in outcomes.items():
+            # A per-row run creates no counter for an outcome no row had.
+            if count:
+                metrics.counter(f"campaign.outcome.{value}").inc(count)
+        row_wall.observe_many(bank_s / len(pending), len(pending))
+        yield [
+            (index, _RowState(measured_mbps=float(mbps), attempts=1))
+            for index, mbps in zip(pending, bandwidth)
+        ]
 
 
 def _flood_bank(service, subset: Dataset, pending, seed: int):
     """One flood bank (BTS-APP or Speedtest) over rows ``pending``: each
-    row's bandwidth and outcome, and the seconds the bank took,
-    environments included."""
+    row's bandwidth, the count of each outcome, and the seconds the
+    bank took, environments included."""
     started = time.perf_counter()
     envs = [row_environment(subset, index, seed) for index in pending]
     results = service.run_bank(envs)
     bank_s = time.perf_counter() - started
     return (
         [result.bandwidth_mbps for result in results],
-        [result.outcome for result in results],
+        Counter(result.outcome.value for result in results),
         bank_s,
     )
 
 
 def _session_bank(service, subset: Dataset, pending, seed: int):
-    """One loopback bank over rows ``pending``: each row's bandwidth
-    and outcome, and the seconds the bank took, capacities included.
-    Only the bandwidth array outlives the call; the bank's per-tick
-    sample arrays are freed before the next block's capacity pass."""
+    """One loopback bank over rows ``pending``: each row's bandwidth,
+    the count of each outcome, read off the bank's ``converged``
+    column, and the seconds the bank took, capacities included.  Only
+    the bandwidth array outlives the call; the bank's per-tick sample
+    arrays are freed before the next block's capacity pass."""
     from repro.core.sessionbank import run_session_bank
 
     started = time.perf_counter()
@@ -484,11 +488,12 @@ def _session_bank(service, subset: Dataset, pending, seed: int):
         max_duration_s=service.max_duration_s,
     )
     bank_s = time.perf_counter() - started
-    return (
-        bank.bandwidth_mbps,
-        [bank.outcome(pos) for pos in range(len(pending))],
-        bank_s,
-    )
+    converged = int(np.count_nonzero(bank.converged))
+    outcomes = {
+        TestOutcome.CONVERGED.value: converged,
+        TestOutcome.TIMED_OUT.value: len(pending) - converged,
+    }
+    return bank.bandwidth_mbps.tolist(), outcomes, bank_s
 
 
 _FLOOD_BANK = Executor(

@@ -51,6 +51,17 @@ def positive_capacity(base_mbps: float) -> float:
     return float(base_mbps)
 
 
+def positive_capacities(base_mbps) -> np.ndarray:
+    """``base_mbps`` as a float64 array, checked in one array test;
+    :func:`positive_capacity`'s error for the first value that is not
+    positive and finite."""
+    base = np.asarray(base_mbps, dtype=np.float64)
+    bad = ~((base > 0) & np.isfinite(base))
+    if bad.any():
+        positive_capacity(float(base.flat[bad.argmax()]))
+    return base
+
+
 def sample_times(
     start_s: float, end_s: float, step_s: float = 0.05
 ) -> np.ndarray:

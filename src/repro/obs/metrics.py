@@ -123,10 +123,24 @@ class Histogram:
         self.max = -math.inf
 
     def observe(self, value: float) -> None:
+        self.observe_many(value, 1)
+
+    def observe_many(self, value: float, n: int) -> None:
+        """Record ``value`` ``n`` times: the snapshot of ``n``
+        :meth:`observe` calls, bit for bit, since ``sum`` takes ``n``
+        sequential adds."""
+        if n < 0:
+            raise ValueError(f"histogram {self.name!r}: cannot observe "
+                             f"a value {n} times")
+        if n == 0:
+            return
         value = float(value)
-        self.buckets[bisect.bisect_left(self.bounds, value)] += 1
-        self.count += 1
-        self.sum += value
+        self.buckets[bisect.bisect_left(self.bounds, value)] += n
+        self.count += n
+        total = self.sum
+        for _ in range(n):
+            total += value
+        self.sum = total
         if value < self.min:
             self.min = value
         if value > self.max:
@@ -283,6 +297,9 @@ class _NullHistogram:
     kind = "histogram"
 
     def observe(self, value: float) -> None:
+        pass
+
+    def observe_many(self, value: float, n: int) -> None:
         pass
 
 

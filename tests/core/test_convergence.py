@@ -116,37 +116,60 @@ def test_infinite_sample_rejected():
 
 
 def test_kernel_matches_detectors_under_random_pushes_and_resets():
-    """The columnar kernel against N scalar detectors fed the same
-    pushes and resets: the same convergence mask after every step, and
-    ``values`` equal to each detector's ``value()`` bit for bit, with
-    converged windows ending at every ring position."""
+    """The columnar kernel against scalar detectors fed the same
+    pushes, resets and compactions.  Every live row pushes at each
+    step, as a bank's sessions do; rows are reset and dropped at
+    random.  After every step the convergence mask is the live
+    detectors', ``values`` equals each converged detector's
+    ``value()`` bit for bit, and every ``ordered_window`` is the
+    detector's deque in order; converged windows end at every ring
+    position."""
     rng = np.random.default_rng(2024)
-    n = 64
+    n = 96
     kernel = RollingConvergenceKernel(n)
     detectors = [ConvergenceDetector() for _ in range(n)]
     level = rng.uniform(5.0, 900.0, size=n)
     noise = np.where(rng.random(n) < 0.75, 0.004, 0.05)
-    every = np.arange(n)
     checked = 0
+    compactions = 0
     ends = set()
-    for _ in range(300):
-        idx = np.flatnonzero(rng.random(n) < 0.8)
-        shocks = rng.standard_normal(idx.size)
-        samples = level[idx] * (1.0 + noise[idx] * shocks)
-        kernel.push(idx, samples)
-        for i, sample in zip(idx, samples):
-            detectors[i].push(sample)
-        reset = np.flatnonzero(rng.random(n) < 0.03)
+    for step in range(300):
+        samples = level * (1.0 + noise * rng.standard_normal(kernel.n))
+        kernel.push(samples)
+        for detector, sample in zip(detectors, samples):
+            detector.push(sample)
+        reset = np.flatnonzero(rng.random(kernel.n) < 0.03)
         kernel.reset(reset)
         for i in reset:
             detectors[i].reset()
-        conv = kernel.converged(every)
+        conv = kernel.converged()
         assert conv.tolist() == [d.converged() for d in detectors]
         done = np.flatnonzero(conv)
         if done.size:
             expected = np.array([detectors[i].value() for i in done])
             assert kernel.values(done).tobytes() == expected.tobytes()
-            ends.update(kernel._pos[done].tolist())
+            # The newest sample sits in the column this step wrote.
+            ends.add(step % WINDOW)
             checked += done.size
+        for i, detector in enumerate(detectors):
+            assert kernel.ordered_window(i).tolist() == list(detector._samples)
+        if rng.random() < 0.1:
+            keep = rng.random(kernel.n) >= 0.05
+            kernel.compact(keep)
+            detectors = [d for d, kept in zip(detectors, keep) if kept]
+            level, noise = level[keep], noise[keep]
+            compactions += 1
+        assert kernel.n == len(detectors)
     assert checked > 1000
+    assert compactions > 20 and kernel.n < n
     assert ends == set(range(WINDOW))
+
+
+def test_kernel_push_takes_one_finite_sample_per_live_row():
+    kernel = RollingConvergenceKernel(3)
+    for bad in ([1.0, 2.0], [1.0, float("nan"), 2.0], [1.0, -1.0, 2.0]):
+        with pytest.raises(ValueError):
+            kernel.push(np.array(bad))
+    kernel.compact(np.array([True, False, True]))
+    kernel.push(np.array([1.0, 2.0]))
+    assert kernel.ordered_window(1).tolist() == [2.0]

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro.baselines.common import TestOutcome
+from repro.core.convergence import WINDOW, RollingConvergenceKernel
 from repro.core.loopback import run_loopback_session
 from repro.core.sessionbank import (
     SessionBank,
@@ -133,6 +134,95 @@ def test_tick_times_is_the_accumulated_clock():
             break
     assert times == accumulated
     assert times[-1] + SAMPLE_INTERVAL_S >= 5.0
+
+
+def bank_matches_oracle_at_widths(model, capacities, max_duration_s, seed):
+    """Bank ``capacities`` in a shuffled order, 1 and 7 sessions wide,
+    and compare every session with the per-packet oracle field by
+    field.  Returns the width-7 banks' sessions' ``n_samples`` and
+    ``converged`` by capacity."""
+    refs = {
+        c: oracle_fields(run_loopback_session(
+            model, c, server_capacity_mbps=10_000.0,
+            max_duration_s=max_duration_s,
+        ))
+        for c in capacities
+    }
+    order = np.random.default_rng(seed).permutation(len(capacities))
+    shuffled = [capacities[i] for i in order]
+    ends = {}
+    for width in (1, 7):
+        for lo in range(0, len(shuffled), width):
+            chunk = shuffled[lo:lo + width]
+            bank = run_session_bank(model, chunk, max_duration_s=max_duration_s)
+            for k, c in enumerate(chunk):
+                assert bank_fields(bank, k) == refs[c], (width, c)
+                ends[c] = (int(bank.n_samples[k]), bool(bank.converged[k]))
+    return ends
+
+
+#: Capacities whose sessions converge after 10, 31, 22, 13, 34, 25,
+#: 16, 37, 28 and 19 samples: their last sample lands at each of the
+#: ten ring positions.
+RING_CAPACITIES = [
+    1.0, 230.07, 68.2, 20.37, 345.34, 102.37, 30.34, 518.36, 153.65, 45.55,
+]
+
+
+def test_bank_matches_oracle_converging_at_every_ring_position(model):
+    ends = bank_matches_oracle_at_widths(model, RING_CAPACITIES, 5.0, 1)
+    assert all(converged for _, converged in ends.values())
+    assert {n % WINDOW for n, _ in ends.values()} == set(range(WINDOW))
+
+
+def test_bank_matches_oracle_converging_on_the_final_tick(model):
+    """At a 1 s budget (19 ticks), 60 Mbps converges on the last tick,
+    in a bank where 45 Mbps converged earlier and the faster links time
+    out on the same tick."""
+    n_ticks = len(tick_times(1.0))
+    ends = bank_matches_oracle_at_widths(
+        model, [100.0, 300.0, 1000.0, 60.0, 45.0], 1.0, 2
+    )
+    assert ends[60.0] == (n_ticks, True)
+    assert ends[45.0][0] < n_ticks and ends[45.0][1]
+    assert not ends[100.0][1] and ends[100.0][0] == n_ticks
+
+
+def test_bank_matches_oracle_timing_out_with_partial_windows(
+    model, monkeypatch
+):
+    """Sessions still climbing, or settled fewer than ten samples ago,
+    when the budget runs out: their estimate is the mean of a window
+    that a ladder step cut short, empty when the step came on the final
+    tick."""
+    read = []
+    ordered_window = RollingConvergenceKernel.ordered_window
+
+    def spy(kernel, row):
+        window = ordered_window(kernel, row)
+        read.append(len(window))
+        return window
+
+    monkeypatch.setattr(RollingConvergenceKernel, "ordered_window", spy)
+    for budget_s, seed in ((0.9, 3), (0.95, 4)):
+        ends = bank_matches_oracle_at_widths(
+            model, [100.0, 300.0, 1000.0, 60.0], budget_s, seed
+        )
+        assert not any(converged for _, converged in ends.values())
+    assert {0, 2, 5, 6, 8, 9} <= set(read)
+    assert max(read) < WINDOW
+
+
+def test_bank_matches_oracle_when_every_session_finishes_together(model):
+    """Every session of a bank finishing on one tick: eight links that
+    all converge after 16 samples, and four that never see a packet
+    and all time out."""
+    together = [30.5 + 1.25 * k for k in range(8)]
+    ends = bank_matches_oracle_at_widths(model, together, 5.0, 5)
+    assert set(ends.values()) == {(16, True)}
+    idle = [0.01, 0.02, 0.05, 0.1]
+    ends = bank_matches_oracle_at_widths(model, idle, 5.0, 6)
+    assert set(ends.values()) == {(len(tick_times(5.0)), False)}
 
 
 def test_bank_samples_share_the_scalar_timestamps(model):

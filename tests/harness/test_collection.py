@@ -15,6 +15,13 @@ from repro.harness.collection import (
     row_environment,
 )
 from repro.harness.config import CampaignConfig
+from repro.harness.pairs import (
+    FLUCTUATION_RANGE,
+    RTT_RANGE_S,
+    SHAPED_DUTY_RANGE,
+    SHAPED_PERIOD_RANGE_S,
+    SHAPED_THROTTLE_RANGE,
+)
 from repro.harness.parallel import run_campaign
 
 
@@ -215,6 +222,38 @@ def test_row_capacities_raise_what_row_environment_raises(contexts):
             row_capacities(contexts, [0, index], 5, 5.0)
     with pytest.raises(ValueError, match="end must follow start"):
         row_capacities(contexts, [0], 5, 0.0)
+
+
+#: Seeds that fill one, two and four 32-bit words of RNG entropy.
+IDENTITY_SEEDS = (0, 2**64 - 1, 2**128 - 1)
+
+
+@pytest.mark.parametrize("seed", IDENTITY_SEEDS)
+def test_numpy_identities_behind_two_draw_calls_a_row(seed):
+    """The numpy identities ``row_capacities``' fused draws rest on,
+    bit for bit on one stream: ``uniform(a, b)`` is
+    ``a + (b - a) * random()`` for every range of the access draws,
+    ``normal(0.0, s)`` is ``0.0 + s * standard_normal()``, and
+    ``normal(0.0, 1.0, n)`` is ``0.0 + 1.0 * standard_normal(n)``.  A
+    numpy release that breaks one fails here by name, not as a digest
+    mismatch."""
+    drawn, fused = np.random.default_rng(seed), np.random.default_rng(seed)
+    for low, high in (
+        FLUCTUATION_RANGE, SHAPED_THROTTLE_RANGE, SHAPED_PERIOD_RANGE_S,
+        SHAPED_DUTY_RANGE, RTT_RANGE_S,
+    ):
+        got = [drawn.uniform(low, high) for _ in range(2_000)]
+        want = [low + (high - low) * fused.random() for _ in range(2_000)]
+        assert np.array(got).tobytes() == np.array(want).tobytes(), (low, high)
+    sigmas = [drawn.uniform(*FLUCTUATION_RANGE) for _ in range(2_000)]
+    fused.random(len(sigmas))
+    got = [drawn.normal(0.0, s) for s in sigmas]
+    want = [0.0 + s * fused.standard_normal() for s in sigmas]
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+    for n in (1, 99, 2_000):
+        got = drawn.normal(0.0, 1.0, n)
+        want = 0.0 + 1.0 * fused.standard_normal(n)
+        assert got.tobytes() == want.tobytes(), n
 
 
 def test_row_capacities_check_every_index_before_seeding(

@@ -69,6 +69,61 @@ def test_histogram_requires_sorted_bounds():
         Histogram("wall", bounds=(2.0, 1.0))
 
 
+#: Values whose repeated sums round differently at every step, one of
+#: them past the last bucket edge.
+REPEATED = (0.1, 1e-3 / 3, 0.0123456789, 7.25, 5e3)
+
+
+@pytest.mark.parametrize("n", [1, 3, 4096])
+def test_observe_many_equals_repeated_observe(n):
+    """``observe_many(v, n)`` leaves the snapshot ``n`` ``observe(v)``
+    calls leave: ``sum`` bit for bit, and buckets, count, min and
+    max."""
+    many, single = Histogram("wall"), Histogram("wall")
+    single.observe(0.3)
+    many.observe(0.3)
+    for value in REPEATED:
+        many.observe_many(value, n)
+        for _ in range(n):
+            single.observe(value)
+        assert many.to_dict() == single.to_dict()
+        assert many.sum.hex() == single.sum.hex()
+
+
+def test_observe_many_zero_times_leaves_the_histogram_untouched():
+    empty = Histogram("wall")
+    empty.observe_many(2.5, 0)
+    assert empty.to_dict() == Histogram("wall").to_dict()
+    h = Histogram("wall")
+    h.observe(0.5)
+    before = h.to_dict()
+    h.observe_many(100.0, 0)
+    assert h.to_dict() == before
+    with pytest.raises(ValueError, match="times"):
+        h.observe_many(1.0, -1)
+
+
+def test_observe_many_on_the_null_registry_records_nothing():
+    NULL_REGISTRY.histogram("campaign.row_wall_s").observe_many(0.01, 64)
+    assert NULL_REGISTRY.to_dict() == {}
+
+
+def test_observe_many_merges_as_repeated_observe():
+    def shard(observe):
+        reg = MetricsRegistry()
+        observe(reg.histogram("campaign.row_wall_s"))
+        return reg.to_dict()
+
+    def repeated(h):
+        for _ in range(7):
+            h.observe(0.0123456789)
+
+    other = _shard_registry(2).to_dict()
+    assert MetricsRegistry.merge([
+        other, shard(lambda h: h.observe_many(0.0123456789, 7)),
+    ]).to_dict() == MetricsRegistry.merge([other, shard(repeated)]).to_dict()
+
+
 # -- registry --------------------------------------------------------------
 
 
