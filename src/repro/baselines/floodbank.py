@@ -141,7 +141,7 @@ def _access_capacities(
     :class:`FluctuatingTrace` rows whose grids wrap on the same duration
     read them in one :func:`grid_positions` and :func:`interpolate`
     pass, whose elementwise ufuncs round as ``capacity_at`` does; any
-    other trace is asked at every time.
+    other trace reads every time through its own ``capacities_at``.
     """
     table = np.empty((len(times), len(envs)))
     by_duration: Dict[float, List[int]] = {}
@@ -150,7 +150,7 @@ def _access_capacities(
         if type(trace) is FluctuatingTrace:
             by_duration.setdefault(trace.duration_s, []).append(row)
         else:
-            table[:, row] = [trace.capacity_at(now) for now in times]
+            table[:, row] = trace.capacities_at(times)
     for duration, rows in by_duration.items():
         grids = np.array([envs[row].access.trace.grid for row in rows])
         lo, hi, frac = grid_positions(times, duration, grids.shape[1])

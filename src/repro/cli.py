@@ -147,6 +147,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
                 stats.update(chunk["tech"], chunk["bandwidth_mbps"])
                 counted += len(chunk["bandwidth_mbps"])
                 yield chunk
+                del chunk  # before the next chunk is generated
 
         run_id = None
         start = time.perf_counter()

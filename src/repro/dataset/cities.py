@@ -77,6 +77,11 @@ def make_cities(rng: np.random.Generator) -> List[City]:
     span ranges comparable to the paper's (4G 28-119, 5G 113-428,
     WiFi 83-256 Mbps) while the tier ordering on *infrastructure* and
     *contention* pull in opposite directions.
+
+    One ``rng.lognormal`` call draws every attribute of every city, in
+    (city, attribute) order, which is the order of one scalar draw per
+    attribute per city, so the values are those of that loop bit for
+    bit.
     """
     tier_params = {
         #        infra_mu, contention_mu, wifi_mu
@@ -84,31 +89,24 @@ def make_cities(rng: np.random.Generator) -> List[City]:
         "medium": (1.00, 0.92, 1.00),
         "small": (0.85, 1.00, 0.88),
     }
-    cities: List[City] = []
-    city_id = 0
-    for tier, count, _ in CITY_TIERS:
-        infra_mu, cont_mu, wifi_mu = tier_params[tier]
-        for _ in range(count):
-            infrastructure = float(
-                np.clip(rng.lognormal(np.log(infra_mu), 0.18), 0.5, 1.8)
-            )
-            contention = float(
-                np.clip(rng.lognormal(np.log(cont_mu), 0.12), 0.5, 1.2)
-            )
-            wifi_quality = float(
-                np.clip(rng.lognormal(np.log(wifi_mu), 0.12), 0.5, 1.6)
-            )
-            cities.append(
-                City(
-                    city_id=city_id,
-                    tier=tier,
-                    infrastructure=infrastructure,
-                    contention=contention,
-                    wifi_quality=wifi_quality,
-                )
-            )
-            city_id += 1
-    return cities
+    sigmas = (0.18, 0.12, 0.12)
+    low, high = (0.5, 0.5, 0.5), (1.8, 1.2, 1.6)
+    tiers = [tier for tier, _, _ in CITY_TIERS]
+    counts = [count for _, count, _ in CITY_TIERS]
+    mus = np.repeat(np.log([tier_params[t] for t in tiers]), counts, axis=0)
+    draws = np.clip(rng.lognormal(mus, sigmas), low, high)
+    names = [tier for tier, count, _ in CITY_TIERS for _ in range(count)]
+    return [
+        City(
+            city_id=city_id,
+            tier=tier,
+            infrastructure=infrastructure,
+            contention=contention,
+            wifi_quality=wifi_quality,
+        )
+        for city_id, (tier, (infrastructure, contention, wifi_quality))
+        in enumerate(zip(names, draws.tolist()))
+    ]
 
 
 def tier_of(cities: List[City]) -> Dict[int, str]:

@@ -234,8 +234,10 @@ XTRAFFIC_SHARE_RANGE: Tuple[float, float] = (0.35, 0.80)
 #: of the fast fading, so its spread is tighter.
 FADING_SIGMA = {"4G": 0.25, "5G": 0.17}
 
-#: Legacy 3G tests: a thin log-normal tail around a few Mbps.
+#: Legacy 3G tests: a thin log-normal tail around a few Mbps, recorded
+#: on Band 34.
 THREEG_LOGNORMAL = (np.log(4.0), 0.8)
+THREEG_BAND = "B34"
 THREEG_SNR_DB = (10.0, 3.0)
 THREEG_LOAD_BETA = (2.0, 2.0)
 
@@ -320,6 +322,43 @@ class CampaignConfig:
 # -- campaign lookup tables --------------------------------------------
 
 
+def _code_dtype(values) -> np.dtype:
+    """The smallest unsigned integer type that codes ``values``."""
+    return np.min_scalar_type(len(values) - 1)
+
+
+class _Vocabulary:
+    """One string column's values, indexed by the chunk kernel's codes.
+
+    A chunk's column is spelled once, from its codes, after the kernel
+    has returned: as the schema's ``object`` array for an in-memory
+    dataset (:meth:`objects`) or as the fixed-width ``U`` array a
+    ``.npd`` payload stores (:meth:`fixed_width`).  Either way no
+    per-row ``str`` is converted.
+    """
+
+    def __init__(self, values):
+        self._objects = np.array(values, dtype=object)
+        self._fixed = np.array(values, dtype=np.str_)
+        self._lengths = np.array([len(value) for value in values])
+        self._by_width: Dict[int, np.ndarray] = {}
+
+    def objects(self, codes: np.ndarray) -> np.ndarray:
+        """The column as an ``object`` array of ``str``."""
+        return self._objects[codes]
+
+    def fixed_width(self, codes: np.ndarray) -> np.ndarray:
+        """The column exactly as ``self.objects(codes).astype("U")``
+        gives it: as wide as its longest value, gathered from the
+        vocabulary narrowed to that width (which truncates only values
+        the codes never name)."""
+        width = max(int(self._lengths[codes].max(initial=0)), 1)
+        table = self._by_width.get(width)
+        if table is None:
+            table = self._by_width[width] = self._fixed.astype(f"<U{width}")
+        return table[codes]
+
+
 class _CampaignTables:
     """Every config-dependent lookup the row kernels index into.
 
@@ -341,7 +380,6 @@ class _CampaignTables:
             else TECH_SHARES[year]
         )
         self.tech_names = sorted(shares)
-        self.tech_names_obj = np.array(self.tech_names, dtype=object)
         self.tech_cdf = ss.cdf_of([shares[t] for t in self.tech_names])
         cat = {"3G": self._CAT_3G, "4G": self._CAT_4G, "5G": self._CAT_5G}
         self.tech_category = np.array(
@@ -424,8 +462,6 @@ class _CampaignTables:
              for n in self.lte_band_names],
             dtype=bool,
         )
-        self.lte_band_names_obj = np.array(self.lte_band_names, dtype=object)
-        self.nr_band_names_obj = np.array(self.nr_band_names, dtype=object)
 
         # RSS level mixes: rows default / B39 / B40 / 5G.
         rss_rows = ["default", "B39", "B40", "5G"]
@@ -470,11 +506,24 @@ class _CampaignTables:
             else LTE_ADVANCED_PROB_URBAN
         )
 
+        # The band column's vocabulary: every band a row can record.
+        band_names = sorted(
+            set(self.lte_band_names) | set(self.nr_band_names)
+            | {THREEG_BAND}
+            | {band for split in WIFI_BAND_SPLIT.values() for band in split}
+        )
+        band_code = {name: code for code, name in enumerate(band_names)}
+        self.lte_band_code = np.array(
+            [band_code[n] for n in self.lte_band_names]
+        )
+        self.nr_band_code = np.array([band_code[n] for n in self.nr_band_names])
+        self.threeg_band_code = band_code[THREEG_BAND]
+
         # WiFi tables, rows ordered WiFi4 / WiFi5 / WiFi6; band columns
         # follow each standard's own sorted band list.
         n_wifi = len(self._WIFI_TECHS)
         self.wifi_band_cdf = np.ones((n_wifi, 2))
-        self.wifi_band_names = np.empty((n_wifi, 2), dtype=object)
+        self.wifi_band_code = np.zeros((n_wifi, 2), dtype=np.int64)
         self.wifi_channel = np.zeros((n_wifi, 2))
         self.wifi_typ = np.ones((n_wifi, 2))
         self.wifi_peak = np.ones((n_wifi, 2))
@@ -492,14 +541,14 @@ class _CampaignTables:
             standard = wifi_standard(tech)
             for c, band in enumerate(bands):
                 profile = standard.bands[band]
-                self.wifi_band_names[r, c] = band
+                self.wifi_band_code[r, c] = band_code[band]
                 self.wifi_channel[r, c] = WIFI_CHANNEL_MHZ[(tech, band)]
                 self.wifi_typ[r, c] = profile.typical_phy_mbps
                 self.wifi_peak[r, c] = profile.peak_phy_mbps
                 self.wifi_mu[r, c] = profile.contention_mu
                 self.wifi_sig[r, c] = profile.contention_sigma
             if len(bands) == 1:  # pad so stray indices stay in-domain
-                self.wifi_band_names[r, 1] = bands[0]
+                self.wifi_band_code[r, 1] = self.wifi_band_code[r, 0]
                 self.wifi_channel[r, 1] = self.wifi_channel[r, 0]
                 self.wifi_typ[r, 1] = self.wifi_typ[r, 0]
                 self.wifi_peak[r, 1] = self.wifi_peak[r, 0]
@@ -530,9 +579,10 @@ class _CampaignTables:
         self.n_users = max(1, int(config.n_tests / TESTS_PER_USER))
         n_users = self.n_users
 
-        model_names = np.array(devices.models, dtype=object)
+        vendor_code = {name: code for code, name in enumerate(devices.vendors)}
         model_vendor = np.array(
-            [devices.model_vendor[m] for m in devices.models], dtype=object
+            [vendor_code[devices.model_vendor[m]] for m in devices.models],
+            dtype=_code_dtype(devices.vendors),
         )
         tier_names = ["low", "mid", "high"]
         model_tier = np.array(
@@ -562,7 +612,7 @@ class _CampaignTables:
         version_idx = ss.pick_rows(version_cdf, tier_idx, u_version)
 
         self.user_vendor = model_vendor[model_idx]
-        self.user_model = model_names[model_idx]
+        self.user_model = model_idx.astype(_code_dtype(devices.models))
         self.user_version = version_values[version_idx].astype(np.int8)
         self.user_device_factor = (
             version_factor[version_idx] * model_factor[model_idx]
@@ -581,13 +631,27 @@ class _CampaignTables:
         )
         city_idx = tier_offsets[city_tier_idx] + member
 
-        city_tier_obj = np.array([c.tier for c in cities], dtype=object)
+        city_tiers = [tier for tier, _, _ in CITY_TIERS]
+        city_tier = np.array(
+            [city_tiers.index(c.tier) for c in cities],
+            dtype=_code_dtype(city_tiers),
+        )
         city_cellular = np.array([c.cellular_factor for c in cities])
         city_wifi = np.array([c.wifi_quality for c in cities])
         self.user_city_id = city_idx.astype(np.int32)
-        self.user_city_tier = city_tier_obj[city_idx]
+        self.user_city_tier = city_tier[city_idx]
         self.user_cellular_factor = city_cellular[city_idx]
         self.user_wifi_quality = city_wifi[city_idx]
+
+        # The string columns' vocabularies; the chunk kernel returns
+        # each of those columns as codes into its vocabulary.
+        self.vocabularies = {
+            "tech": _Vocabulary(self.tech_names),
+            "city_tier": _Vocabulary(city_tiers),
+            "band": _Vocabulary(band_names),
+            "vendor": _Vocabulary(devices.vendors),
+            "device_model": _Vocabulary(devices.models),
+        }
 
     @staticmethod
     def _band_tables(weights_by_isp: Dict[int, Dict[str, float]]):
@@ -614,7 +678,9 @@ class _CampaignTables:
 def _generate_chunk(
     tables: _CampaignTables, start: int, stop: int
 ) -> Dict[str, np.ndarray]:
-    """Rows ``[start, stop)`` of the campaign as schema-typed arrays.
+    """Rows ``[start, stop)`` of the campaign as schema-typed arrays,
+    except that each string column holds integer codes into its
+    ``tables.vocabularies`` entry.
 
     Pure function of ``(tables.config, start, stop)``; every random
     input is read from the ``(seed, slot, test_id)`` substreams, so
@@ -656,7 +722,7 @@ def _generate_chunk(
 
     # Column scaffolding (cellular defaults; branches scatter into it).
     isp_col = np.ones(m, dtype=np.int8)
-    band_col = np.empty(m, dtype=object)
+    band_col = np.empty(m, dtype=np.int64)
     channel_col = np.zeros(m)
     rss_col = np.zeros(m, dtype=np.int8)
     rsrp_col = np.full(m, np.nan)
@@ -703,9 +769,11 @@ def _generate_chunk(
         carriers = np.where(
             ss.pick(tables.ltea_carrier_cdf, u_carriers[i4]) == 0, 2, 3
         )
-        load = np.where(
-            ltea, ss.ppf_beta(u_ltea_load[i4], *LTE_ADVANCED_LOAD_BETA), load
-        )
+        # An LTE-A row's cell is provisioned for its load: it keeps the
+        # LTE-A draw instead, evaluated on those rows only (about one
+        # 4G row in ten).
+        ia = np.flatnonzero(ltea)
+        load[ia] = ss.ppf_beta(u_ltea_load[i4[ia]], *LTE_ADVANCED_LOAD_BETA)
         bandwidth = np.where(
             ltea,
             ltea_user_throughput(
@@ -721,7 +789,7 @@ def _generate_chunk(
             * tables.urban_factor_4g[urban4.astype(np.int64)]
         )
         isp_col[i4] = (isp_idx + 1).astype(np.int8)
-        band_col[i4] = tables.lte_band_names_obj[gidx]
+        band_col[i4] = tables.lte_band_code[gidx]
         channel_col[i4] = tables.lte_channel[gidx]
         rss_col[i4] = level.astype(np.int8)
         rsrp_col[i4] = rsrp
@@ -777,7 +845,7 @@ def _generate_chunk(
             * tables.urban_factor_5g[urban5.astype(np.int64)]
         )
         isp_col[i5] = (isp_idx + 1).astype(np.int8)
-        band_col[i5] = tables.nr_band_names_obj[gidx]
+        band_col[i5] = tables.nr_band_code[gidx]
         channel_col[i5] = tables.nr_channel[gidx]
         rss_col[i5] = level.astype(np.int8)
         rsrp_col[i5] = rsrp
@@ -799,7 +867,7 @@ def _generate_chunk(
             * device_factor[i3]
         )
         isp_col[i3] = (isp_idx + 1).astype(np.int8)
-        band_col[i3] = "B34"
+        band_col[i3] = tables.threeg_band_code
         channel_col[i3] = 5.0
         rss_col[i3] = level.astype(np.int8)
         rsrp_col[i3] = ss.ppf_uniform(
@@ -870,7 +938,7 @@ def _generate_chunk(
         allocated, hop = home_path_allocation(air, wire, xdemand)
         bandwidth = allocated * device_factor[iw]
         isp_col[iw] = (isp_idx + 1).astype(np.int8)
-        band_col[iw] = tables.wifi_band_names[wrow, band_local]
+        band_col[iw] = tables.wifi_band_code[wrow, band_local]
         channel_col[iw] = tables.wifi_channel[wrow, band_local]
         plan_col[iw] = plan
         air_col[iw] = air
@@ -884,7 +952,7 @@ def _generate_chunk(
         "user_id": user_id.astype(np.int64),
         "year": np.full(m, config.year, dtype=np.int16),
         "hour": hour.astype(np.int8),
-        "tech": tables.tech_names_obj[tech_idx],
+        "tech": tech_idx,
         "isp": isp_col,
         "city_id": tables.user_city_id[user_id],
         "city_tier": tables.user_city_tier[user_id],
@@ -914,20 +982,50 @@ def _generate_chunk(
 # -- drivers -----------------------------------------------------------
 
 
-def iter_campaign_chunks(
-    config: CampaignConfig, chunk_size: int = DEFAULT_CHUNK_SIZE
+def _spelled_chunks(
+    config: CampaignConfig, chunk_size: int, spell
 ) -> Iterator[Dict[str, np.ndarray]]:
-    """Stream a campaign as schema-typed column chunks.
+    """The campaign's chunks, each string column spelled from its codes
+    by ``spell(vocabulary, codes)``.
 
-    The building block for bounded-memory pipelines (columnar writers,
-    shard workers): each yielded dict covers the next ``chunk_size``
-    test ids and is independent of every other chunk.
+    A column is spelled only once the kernel has returned and freed its
+    temporaries, and a chunk is dropped before the next one is
+    generated, so a consumer that drops it too holds one chunk at a
+    time.
     """
     if chunk_size <= 0:
         raise ValueError(f"chunk_size must be positive, got {chunk_size}")
     tables = _CampaignTables(config)
     for start in range(0, config.n_tests, chunk_size):
-        yield _generate_chunk(tables, start, min(start + chunk_size, config.n_tests))
+        chunk = _generate_chunk(
+            tables, start, min(start + chunk_size, config.n_tests)
+        )
+        for name, vocabulary in tables.vocabularies.items():
+            chunk[name] = spell(vocabulary, chunk[name])
+        yield chunk
+        del chunk
+
+
+def iter_campaign_chunks(
+    config: CampaignConfig, chunk_size: int = DEFAULT_CHUNK_SIZE
+) -> Iterator[Dict[str, np.ndarray]]:
+    """Stream a campaign as column chunks in the dtypes a ``.npd``
+    payload stores.
+
+    The building block for bounded-memory pipelines (columnar writers,
+    the run store's ``ingest_chunks``): each yielded dict covers the
+    next ``chunk_size`` test ids and is independent of every other
+    chunk.  Numeric columns have the schema's dtypes.  Each string
+    column is a fixed-width ``U`` array as wide as the chunk's longest
+    value: exactly what ``.astype("U")`` of :func:`generate_campaign`'s
+    ``object`` column gives for the same rows, and the dtype
+    :meth:`MappedDataset.iter_chunks
+    <repro.dataset.ooc.MappedDataset.iter_chunks>` yields, so a
+    :class:`~repro.dataset.ooc.DatasetWriter` stores it without a cast.
+    A ``U`` chunk is larger than an ``object`` one; drop each chunk
+    before taking the next, and peak memory stays at one chunk.
+    """
+    return _spelled_chunks(config, chunk_size, _Vocabulary.fixed_width)
 
 
 def generate_campaign(
@@ -938,7 +1036,9 @@ def generate_campaign(
     Deterministic given ``config``: two calls with the same config
     yield identical datasets, and — because every draw is a pure
     function of ``(config.seed, slot, test_id)`` — the result is
-    byte-identical for any ``chunk_size``.
+    byte-identical for any ``chunk_size``.  Its string columns are the
+    schema's ``object`` arrays of ``str``, gathered from the same
+    codes as :func:`iter_campaign_chunks`'s ``U`` columns.
 
     Parameters
     ----------
@@ -948,5 +1048,5 @@ def generate_campaign(
         row by row — the slow per-row reference, for verification.
     """
     return Dataset.from_chunks(
-        list(iter_campaign_chunks(config, chunk_size=chunk_size))
+        list(_spelled_chunks(config, chunk_size, _Vocabulary.objects))
     )

@@ -151,7 +151,7 @@ class _ColumnWriter:
     def append(self, column: np.ndarray) -> None:
         if self.is_string:
             data = np.asarray(column)
-            if data.dtype.kind != "U":
+            if data.dtype.kind != "U":  # an object column: cast per row
                 data = data.astype("U")
             chunk_width = max(data.dtype.itemsize // 4, 1)
             if self.dtype is None:
@@ -167,7 +167,7 @@ class _ColumnWriter:
             data = np.ascontiguousarray(
                 np.asarray(column, dtype=self.dtype)
             )
-        self._handle.write(data.tobytes())
+        self._handle.write(data)  # straight from the array's buffer
         self.rows += len(data)
 
     def _open(self) -> None:
@@ -228,11 +228,18 @@ class DatasetWriter:
         with DatasetWriter("campaign.npd") as writer:
             for chunk in iter_campaign_chunks(config):
                 writer.append(chunk)
+                del chunk
         mapped = open_mapped("campaign.npd")
 
     ``append`` takes the same ``{column name: array}`` mappings the
     generator's chunk iterator and :meth:`Dataset.iter_chunks` yield.
-    Peak memory is O(one chunk); the destination appears atomically at
+    Every column is written straight from its array's buffer.  A string
+    column that arrives as fixed-width ``U`` (the generator's stream,
+    :meth:`MappedDataset.iter_chunks`) is stored as it is, or widened
+    to the file's width; an ``object`` column (an in-memory dataset's
+    chunks) is first cast with ``astype("U")``, one ``str`` at a time.
+    Peak memory is O(one chunk) if the caller drops each chunk before
+    producing the next; the destination appears atomically at
     :meth:`finalize` (which the context manager calls on clean exit —
     an exception aborts and removes the temp directory instead).
     """
@@ -330,10 +337,12 @@ def write_npd(
     path: Union[str, Path],
     chunks: Iterator[Mapping[str, np.ndarray]],
 ) -> Path:
-    """Stream ``chunks`` into a ``.npd`` dataset at ``path``."""
+    """Stream ``chunks`` into a ``.npd`` dataset at ``path``, holding
+    one chunk at a time."""
     with DatasetWriter(path) as writer:
         for chunk in chunks:
             writer.append(chunk)
+            del chunk
     return Path(path)
 
 

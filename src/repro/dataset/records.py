@@ -335,12 +335,17 @@ class Dataset:
 
     @staticmethod
     def from_chunks(chunks: List[Mapping[str, np.ndarray]]) -> "Dataset":
-        """Assemble a dataset from streamed column chunks.
+        """Assemble a dataset from column chunks.
 
-        Each chunk is a full ``{column name: array}`` mapping (as
-        yielded by the generator's chunked driver); columns are joined
-        with one ``np.concatenate`` per column — a single-chunk input
-        is adopted without copying.
+        Each chunk is a full ``{column name: array}`` mapping; columns
+        are joined with one ``np.concatenate`` per column — a
+        single-chunk input is adopted without copying.  String columns
+        keep the chunks' dtype: ``generate_campaign`` passes the
+        schema's ``object`` arrays, while chunks from
+        ``iter_campaign_chunks`` or :meth:`MappedDataset.iter_chunks
+        <repro.dataset.ooc.MappedDataset.iter_chunks>` carry fixed-width
+        ``U`` arrays, which concatenate to the widest chunk's width
+        (``astype(object)`` gives the schema's dtype back).
         """
         if not chunks:
             raise ValueError("cannot build a dataset from zero chunks")

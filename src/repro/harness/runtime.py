@@ -81,6 +81,7 @@ __all__ = [
     "Executor",
     "FLOOD_BANK_ROWS_PER_WORKER",
     "FLOOD_BANK_SIZE",
+    "PER_ROW_LOOPBACK_ROWS_PER_WORKER",
     "PER_ROW_ROWS_PER_WORKER",
     "QuarantinedRow",
     "RetryPolicy",
@@ -312,12 +313,17 @@ SPEEDTEST_BANK_ROWS_PER_WORKER = 24
 #: 4: 0.62, 8: 0.67; Speedtest, before it banked, 4: 0.62.  Two rows
 #: never split over two shards (see
 #: :func:`repro.harness.parallel.shard_of`), so 4 is
-#: the smallest measurable size.  The per-row loopback, a one-session
-#: bank a row, pays only from about 64 rows (4: 3.08, 16: 1.46,
-#: 64: 1.00, 256: 0.93; with the live-lane bank, about 1 ms a row,
-#: 4: 4.13, 16: 1.37, 64: 1.10, 256: 0.89) but shares this floor, as
-#: it forked at any size before workers were counted.
+#: the smallest measurable size.
 PER_ROW_ROWS_PER_WORKER = 2
+
+#: Per-row loopback (``oracle``) rows per worker.  Each row is a
+#: one-session bank of about 1-2 ms, far cheaper than a BTS-APP row, so
+#: a worker needs many more of them to pay for its fork.  Campaign rows
+#: (two passes, medians of 9 and 15 paired runs): 16: 1.59, 32: 1.32,
+#: 48: 1.10, 64: 0.87 and 1.01, 96: 0.90 and 0.90, 128: 0.97 and 0.81,
+#: 192: 0.77 and 0.75, 256: 0.71 and 0.75.  Two workers break even
+#: near 64-96 rows and pay from 128, where this floor first forks them.
+PER_ROW_LOOPBACK_ROWS_PER_WORKER = 64
 
 
 @dataclass(frozen=True)
@@ -377,6 +383,8 @@ def executor_for(service, mode) -> Executor:
             f"(bts-app, speedtest or swiftest-loopback), got "
             f"{service.name!r}; use mode='auto' or 'oracle'"
         )
+    if type(service) is LoopbackSwiftest:
+        return _PER_ROW_LOOPBACK
     return _PER_ROW
 
 
@@ -506,6 +514,7 @@ _SESSION_BANK = Executor(
     _session_bank, BANK_SIZE, SESSION_BANK_ROWS_PER_WORKER
 )
 _PER_ROW = Executor(None, 1, PER_ROW_ROWS_PER_WORKER)
+_PER_ROW_LOOPBACK = Executor(None, 1, PER_ROW_LOOPBACK_ROWS_PER_WORKER)
 
 
 # -- shared report assembly ------------------------------------------------

@@ -286,6 +286,19 @@ class ShapedTrace(CapacityTrace):
             return self.base_mbps
         return self.throttled_mbps
 
+    def capacities_at(self, times_s) -> np.ndarray:
+        """Batch lookup: :meth:`capacity_at`'s addition, modulo (numpy's
+        float ``%`` rounds and signs as Python's does) and ``<``,
+        elementwise over the whole array."""
+        offset = (np.asarray(times_s, dtype=np.float64) + self.phase_s) % (
+            self.period_s
+        )
+        return np.where(
+            offset < self.duty_cycle * self.period_s,
+            self.base_mbps,
+            self.throttled_mbps,
+        )
+
 
 class SteppedTrace(CapacityTrace):
     """Piecewise-constant capacity given explicit (start_time, capacity)

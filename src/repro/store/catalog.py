@@ -421,6 +421,7 @@ class RunStore:
                 for chunk in chunks:
                     writer.append(chunk)
                     mean.update(chunk["bandwidth_mbps"])
+                    del chunk  # before the next chunk is produced
             files: Dict[str, Dict] = {
                 "manifest.json": {
                     "sha256": sha256_bytes(manifest_bytes),

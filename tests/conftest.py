@@ -58,3 +58,15 @@ def registered_test(monkeypatch):
         return name
 
     return register
+
+
+@pytest.fixture
+def loopback_oracle_forks_early(monkeypatch):
+    """Give ``mode="oracle"`` loopback runs the per-row engine's floor of
+    ``PER_ROW_ROWS_PER_WORKER`` rows a worker instead of their own
+    (``PER_ROW_LOOPBACK_ROWS_PER_WORKER``), so that tests of the shard
+    machinery fork workers over a few dozen cheap rows.  Results never
+    depend on the floor; only the number of workers forked does."""
+    from repro.harness import runtime
+
+    monkeypatch.setattr(runtime, "_PER_ROW_LOOPBACK", runtime._PER_ROW)

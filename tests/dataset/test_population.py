@@ -38,6 +38,51 @@ def test_city_counts_match_paper():
     assert by_tier == {"mega": 21, "medium": 51, "small": 254}
 
 
+def per_city_reference(rng):
+    """The population drawn one scalar at a time: each city's three
+    attributes in turn, each clipped as a Python float."""
+    medians = {
+        "mega": (1.18, 0.82, 1.15),
+        "medium": (1.00, 0.92, 1.00),
+        "small": (0.85, 1.00, 0.88),
+    }
+    cities = []
+    for tier, count, _ in CITY_TIERS:
+        infra_mu, cont_mu, wifi_mu = medians[tier]
+        for _ in range(count):
+            infrastructure = float(
+                np.clip(rng.lognormal(np.log(infra_mu), 0.18), 0.5, 1.8)
+            )
+            contention = float(
+                np.clip(rng.lognormal(np.log(cont_mu), 0.12), 0.5, 1.2)
+            )
+            wifi_quality = float(
+                np.clip(rng.lognormal(np.log(wifi_mu), 0.12), 0.5, 1.6)
+            )
+            cities.append((len(cities), tier, infrastructure, contention,
+                           wifi_quality))
+    return cities
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 20220801, 2**64 - 1])
+def test_make_cities_equals_per_city_draws(seed):
+    """One draw call gives every field of every city bit for bit, and
+    leaves the generator where the per-city loop leaves it."""
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    cities = make_cities(rng)
+    reference = per_city_reference(ref_rng)
+    assert len(cities) == len(reference)
+    for city, (city_id, tier, infra, cont, wifi) in zip(cities, reference):
+        assert city.city_id == city_id
+        assert city.tier == tier
+        for got, want in ((city.infrastructure, infra),
+                          (city.contention, cont),
+                          (city.wifi_quality, wifi)):
+            assert type(got) is float
+            assert got.hex() == want.hex()
+    assert rng.random() == ref_rng.random()
+
+
 def test_city_ids_unique():
     cities = make_cities(np.random.default_rng(0))
     assert len({c.city_id for c in cities}) == len(cities)

@@ -23,6 +23,7 @@ def measure(ds, n_shards=1, seed=21, mode="auto"):
     ))
 
 
+@pytest.mark.usefixtures("loopback_oracle_forks_early")
 def test_attribution_byte_identical_across_shards(contexts):
     """300 banked rows never fork, so the sharded runs are per-row."""
     reports = {1: measure(contexts)}

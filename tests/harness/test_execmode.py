@@ -21,6 +21,8 @@ from repro.harness.config import CampaignConfig
 from repro.harness.parallel import run_campaign
 from repro.harness.runtime import (
     FLOOD_BANK_ROWS_PER_WORKER,
+    PER_ROW_LOOPBACK_ROWS_PER_WORKER,
+    PER_ROW_ROWS_PER_WORKER,
     executor_for,
     iter_banked_rows,
 )
@@ -92,6 +94,7 @@ def _config(mode, n_shards=1, **kwargs):
     )
 
 
+@pytest.mark.usefixtures("loopback_oracle_forks_early")
 def test_banked_campaign_is_byte_identical_to_oracle(contexts):
     """The acceptance property: auto (banked), vectorized and oracle
     runs produce the same dataset bytes, in-process or over workers.
@@ -175,6 +178,29 @@ def test_bankable_service_predicate(registry):
     )
     # oracle never banks.
     assert executor_for(SpeedtestLike(), "oracle").run_bank is None
+
+
+def test_per_row_floors_by_service():
+    """Under ``oracle`` the loopback forks from its own measured floor;
+    BTS-APP and Speedtest rows, and any loopback subclass, keep the
+    per-row engine's."""
+    from repro.core.variants import LoopbackSwiftest, create_bandwidth_test
+
+    loopback = executor_for(LoopbackSwiftest(), "oracle")
+    assert loopback.run_bank is None
+    assert loopback.rows_per_worker == PER_ROW_LOOPBACK_ROWS_PER_WORKER
+    assert PER_ROW_LOOPBACK_ROWS_PER_WORKER > PER_ROW_ROWS_PER_WORKER
+
+    class TweakedLoopback(LoopbackSwiftest):
+        """Not the exact class: the generic per-row floor."""
+
+    services = [TweakedLoopback()] + [
+        create_bandwidth_test(name) for name in ("bts-app", "speedtest")
+    ]
+    for service in services:
+        assert executor_for(service, "oracle").rows_per_worker == (
+            PER_ROW_ROWS_PER_WORKER
+        ), service.name
 
 
 def test_iter_banked_rows_refuses_an_unbankable_service(contexts):

@@ -6,7 +6,10 @@ its executor's rows per worker justify.  Banked loopback campaigns of
 a few dozen rows therefore run in-process whatever ``n_shards`` says,
 so the tests that exist to exercise real workers reach them through
 the per-row engine (``mode="oracle"``, or an unbankable test service)
-or through their size, and assert the forked count.
+or through their size, and assert the forked count.  A per-row
+loopback row is cheap enough that the loopback's own floor keeps such
+runs in-process too; the tests of shard machinery over a few dozen of
+them take the per-row engine's floor (``loopback_oracle_forks_early``).
 """
 
 import json
@@ -32,6 +35,7 @@ from repro.harness.parallel import (
 )
 from repro.harness.runtime import (
     FLOOD_BANK_ROWS_PER_WORKER,
+    PER_ROW_LOOPBACK_ROWS_PER_WORKER,
     PER_ROW_ROWS_PER_WORKER,
     SESSION_BANK_ROWS_PER_WORKER,
     CheckpointError,
@@ -146,6 +150,7 @@ def test_shard_of_keeps_signed_64_bit_assignments():
     assert shard_of(np.int64(11), 2, 8) == 5
 
 
+@pytest.mark.usefixtures("loopback_oracle_forks_early")
 @pytest.mark.parametrize("seed", [2**63, 2**70, 2**128 - 1])
 def test_seeds_past_int64_shard_like_any_other(contexts, seed):
     serial = run_campaign(contexts, config_with(seed=seed))
@@ -169,6 +174,7 @@ def reference(contexts, tmp_path_factory):
     return report, json.loads(ck.read_text())
 
 
+@pytest.mark.usefixtures("loopback_oracle_forks_early")
 @pytest.mark.parametrize("n_shards", [1, 2, 8])
 def test_shard_count_never_changes_results(contexts, reference, tmp_path,
                                            n_shards):
@@ -218,6 +224,7 @@ def test_quarantine_is_shard_invariant(contexts, registered_test):
 # -- checkpoints --------------------------------------------------------
 
 
+@pytest.mark.usefixtures("loopback_oracle_forks_early")
 def test_sharded_checkpoint_resumes_serially(tmp_path, contexts):
     """The merged main checkpoint is an ordinary serial checkpoint."""
     ck = tmp_path / "run.ckpt"
@@ -245,6 +252,7 @@ def test_serial_checkpoint_resumes_sharded(tmp_path, contexts):
     datasets_identical(serial.dataset, sharded.dataset)
 
 
+@pytest.mark.usefixtures("loopback_oracle_forks_early")
 def test_shard_files_are_merged_then_removed(tmp_path, contexts):
     ck = tmp_path / "run.ckpt"
     config = config_with(
@@ -319,6 +327,7 @@ def progress_events(contexts, config):
     return report, events
 
 
+@pytest.mark.usefixtures("loopback_oracle_forks_early")
 def test_progress_streams_per_row_events(contexts):
     """Per-row workers report one event per row, then one "finished"
     per forked shard; the batch counts sum to the rows."""
@@ -413,7 +422,8 @@ def test_small_banked_campaign_forks_nothing(monkeypatch, tmp_path):
     ("bts-app", "auto", FLOOD_BANK_ROWS_PER_WORKER,
      2 * FLOOD_BANK_ROWS_PER_WORKER + 3, 8),
     # Capped by n_shards.
-    ("swiftest-loopback", "oracle", PER_ROW_ROWS_PER_WORKER, 24, 3),
+    ("swiftest-loopback", "oracle", PER_ROW_LOOPBACK_ROWS_PER_WORKER,
+     4 * PER_ROW_LOOPBACK_ROWS_PER_WORKER + 5, 3),
 ])
 def test_fork_count_is_the_lesser_of_shards_and_floor(
         tmp_path, test, mode, rows_per_worker, n_rows, n_shards):
@@ -434,6 +444,23 @@ def test_fork_count_is_the_lesser_of_shards_and_floor(
         range(expected)
     )
     datasets_identical(serial.dataset, sharded.dataset)
+
+
+def test_per_row_loopback_forks_two_workers_at_twice_its_floor():
+    """A ``mode="oracle"`` loopback campaign with ``n_shards=2`` stays
+    in-process one row below the size that pays for two workers and
+    forks both at it, with the in-process run's bytes."""
+    n_rows = 2 * PER_ROW_LOOPBACK_ROWS_PER_WORKER
+    contexts = make_contexts(n_rows)
+    config = dict(seed=11, test="swiftest-loopback", mode="oracle")
+    below = run_campaign(contexts, CampaignConfig(
+        max_tests=n_rows - 1, n_shards=2, **config
+    ))
+    at = run_campaign(contexts, CampaignConfig(n_shards=2, **config))
+    assert below.workers == 0
+    assert at.workers == 2
+    serial = run_campaign(contexts, CampaignConfig(**config))
+    datasets_identical(serial.dataset, at.dataset)
 
 
 def test_resumed_rows_do_not_count_toward_the_floor(tmp_path, contexts):
@@ -493,6 +520,7 @@ def test_resume_reads_every_shard_layout(tmp_path, contexts, n_shards):
     assert len(json.loads(ck.read_text())["rows"]) == len(contexts)
 
 
+@pytest.mark.usefixtures("loopback_oracle_forks_early")
 def test_resume_folds_shard_files_before_any_worker_forks(
         tmp_path, contexts, monkeypatch):
     """This run's workers rewrite ``.shard-<k>`` files, so a resume
@@ -559,6 +587,7 @@ def test_resume_ignores_files_that_only_look_like_shards(tmp_path,
     assert all(decoy.exists() for decoy in decoys)
 
 
+@pytest.mark.usefixtures("loopback_oracle_forks_early")
 @pytest.mark.parametrize("n_shards", [1, 2])
 @pytest.mark.parametrize("mode", ["oracle", "auto"])
 @pytest.mark.parametrize("test", ["bts-app", "swiftest-loopback"])

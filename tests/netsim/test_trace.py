@@ -11,6 +11,7 @@ from repro.netsim.trace import (
     ShapedTrace,
     SteppedTrace,
     positive_capacity,
+    sample_times,
 )
 
 
@@ -150,3 +151,57 @@ def test_fluctuating_trace_lfilter_matches_python_loop():
             base, rng=np.random.default_rng(seed), **kwargs
         )
         assert trace._grid.tobytes() == reference.tobytes()
+
+
+def _hexes(values):
+    return [float(v).hex() for v in values]
+
+
+def _boundary_times(trace, n_periods=40):
+    """Times at and either side of every period start and every
+    duty-cycle edge, minus the phase, plus the period multiples
+    themselves."""
+    times = []
+    for k in range(n_periods):
+        for edge in (k * trace.period_s,
+                     k * trace.period_s + trace.duty_cycle * trace.period_s):
+            at = edge - trace.phase_s
+            times += [at, np.nextafter(at, -np.inf), np.nextafter(at, np.inf)]
+        times.append(k * trace.period_s)
+    return [t for t in times if t >= 0.0]
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(base_mbps=100.0, throttled_mbps=40.0, period_s=4.0),
+    dict(base_mbps=80.0, throttled_mbps=10.0, period_s=0.3,
+         duty_cycle=0.7, phase_s=0.13),
+    dict(base_mbps=55.5, throttled_mbps=1.0, period_s=0.1,
+         duty_cycle=0.35, phase_s=2.05),
+    dict(base_mbps=50.0, throttled_mbps=50.0, period_s=1.0, duty_cycle=1.0),
+])
+def test_shaped_capacities_at_equals_capacity_at_bit_for_bit(kwargs):
+    trace = ShapedTrace(**kwargs)
+    rng = np.random.default_rng(11)
+    times = (rng.random(500) * 60.0).tolist() + _boundary_times(trace)
+    assert _hexes(trace.capacities_at(times)) == _hexes(
+        trace.capacity_at(t) for t in times
+    )
+    # The base class's mean over the 50 ms samples now reads them in
+    # one pass, with the same float mean.
+    samples = [trace.capacity_at(t) for t in sample_times(0.0, 5.0, 0.05)]
+    assert trace.mean_capacity(0.0, 5.0).hex() == float(
+        np.mean(np.array(samples))
+    ).hex()
+
+
+def test_fluctuating_capacities_at_equals_capacity_at_bit_for_bit():
+    trace = FluctuatingTrace(120.0, sigma=0.3, tau_s=0.5, duration_s=7.5,
+                             rng=np.random.default_rng(5))
+    rng = np.random.default_rng(12)
+    grid = np.arange(200) * FluctuatingTrace.GRID_STEP_S
+    times = (rng.random(500) * 30.0).tolist() + grid.tolist() + [
+        7.5, 15.0, np.nextafter(7.5, 0.0), np.nextafter(7.5, np.inf),
+    ]
+    assert _hexes(trace.capacities_at(times)) == _hexes(
+        trace.capacity_at(t) for t in times
+    )

@@ -129,6 +129,7 @@ def test_measure_resume_requires_checkpoint(campaign_csv, capsys):
     assert "--resume requires --checkpoint" in capsys.readouterr().err
 
 
+@pytest.mark.usefixtures("loopback_oracle_forks_early")
 def test_measure_sharded_matches_serial(campaign_csv, tmp_path, capsys):
     """Six banked rows stay in-process; the per-row engine forks three
     workers for them.  Both match the serial bytes."""
